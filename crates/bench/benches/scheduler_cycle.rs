@@ -42,15 +42,11 @@ fn bench_lookahead_cost(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(look), &w, |b, w| {
             b.iter(|| {
                 let exp = Experiment {
-                    algorithm: Algorithm::DelayedLos,
                     params: SchedParams {
                         cs: 7,
                         lookahead: look,
                     },
-                    machine: MachineSpec::BLUEGENE_P,
-                    timeline: None,
-                    attribution: false,
-                    reconfig_cost: None,
+                    ..Experiment::new(Algorithm::DelayedLos)
                 };
                 exp.run(black_box(w)).unwrap()
             })

@@ -491,7 +491,10 @@ mod tests {
         assert_eq!(c.jobs, 40);
         assert!(c.engine_events >= 80, "≥ one arrival + completion per job");
         assert!(c.engine_cycles <= c.engine_events);
-        assert!(c.queue_ops >= 2 * c.engine_events);
+        // Each completion is one push and one pop; arrivals are admitted
+        // from the workload stream without touching the queue.
+        assert!(c.queue_ops >= 2 * c.jobs as u64);
+        assert!(c.queue_ops < 2 * c.engine_events);
         assert!(c.events_per_sec > 0.0);
     }
 }

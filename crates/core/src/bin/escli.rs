@@ -201,37 +201,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let cs: u32 = args.get_parsed("cs", 7)?;
     let machine = parse_machine(args)?;
     let w = load_trace(trace)?;
-    let params = SchedParams::with_cs(cs);
-    // A registry name ("Hybrid-LOS") or a stack spec ("delayed-los+d"):
-    // the spec syntax also reaches compositions outside Table III, e.g.
-    // "fcfs+d", "conservative+d+e", or the malleable "hybrid-los+m".
     let attribution = args.has("attribution");
-    let m = match name.parse::<Algorithm>() {
-        Ok(algo) => Experiment {
-            algorithm: algo,
-            params,
-            machine,
-            timeline: None,
-            attribution,
-            reconfig_cost: None,
-        }
-        .run(&w),
-        Err(algo_err) => {
-            let spec: StackSpec = name
-                .parse()
-                .map_err(|spec_err| format!("{algo_err}; {spec_err}"))?;
-            StackExperiment {
-                spec,
-                params,
-                machine,
-                timeline: None,
-                attribution,
-                reconfig_cost: None,
-            }
-            .run(&w)
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    let exp = Experiment {
+        params: SchedParams::with_cs(cs),
+        machine,
+        attribution,
+        ..Experiment::new(parse_spec(name)?)
+    };
+    let m = exp.run(&w).map_err(|e| e.to_string())?;
     print_metrics(&m);
     if attribution {
         println!("wait attribution:");
@@ -240,8 +217,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolve an algorithm name *or* stack spec to a [`StackSpec`] — the
-/// diff path runs everything through [`StackExperiment`].
+/// Resolve a registry name ("Hybrid-LOS") *or* a stack spec
+/// ("delayed-los+d") to a [`StackSpec`]: the spec syntax also reaches
+/// compositions outside Table III, e.g. "fcfs+d", "conservative+d+e",
+/// or the malleable "hybrid-los+m".
 fn parse_spec(name: &str) -> Result<StackSpec, String> {
     match name.parse::<Algorithm>() {
         Ok(algo) => Ok(algo.stack_spec()),
@@ -276,11 +255,10 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
             generate(&cfg)
         }
     };
-    let mk = |spec: StackSpec| {
-        let mut exp = StackExperiment::new(spec);
-        exp.params = params;
-        exp.machine = machine;
-        exp
+    let mk = |spec: StackSpec| Experiment {
+        params,
+        machine,
+        ..Experiment::new(spec)
     };
     let d = elastisched::diff_runs(&mk(parse_spec(a)?), &mk(parse_spec(b)?), &w)
         .map_err(|e| e.to_string())?;
@@ -314,14 +292,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         w.offered_load(machine.total)
     );
     let results = elastisched::parallel_map(algos, |algo| {
-        let exp = Experiment {
-            algorithm: algo,
-            params: SchedParams::with_cs(cs),
-            machine,
-            timeline: None,
-            attribution: false,
-            reconfig_cost: None,
-        };
+        let exp = Experiment::new(algo).with_cs(cs).on_machine(machine);
         exp.run(&w).map_err(|e| e.to_string())
     });
     for r in results {
@@ -342,14 +313,7 @@ fn cmd_gantt(args: &Args) -> Result<(), String> {
     let rows: usize = args.get_parsed("rows", 40)?;
     let machine = parse_machine(args)?;
     let w = load_trace(trace)?;
-    let exp = Experiment {
-        algorithm: algo,
-        params: SchedParams::with_cs(cs),
-        machine,
-        timeline: None,
-        attribution: false,
-        reconfig_cost: None,
-    };
+    let exp = Experiment::new(algo).with_cs(cs).on_machine(machine);
     let r = exp.run_raw(&w).map_err(|e| e.to_string())?;
     println!("{}", elastisched_metrics::gantt(&r.outcomes, width, rows));
     let profile = elastisched_metrics::utilization_profile(
@@ -381,33 +345,11 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         stride: Duration::from_secs(stride),
         budget,
     };
-    let params = SchedParams::with_cs(cs);
-    let r = match name.parse::<Algorithm>() {
-        Ok(algo) => Experiment {
-            algorithm: algo,
-            params,
-            machine,
-            timeline: Some(cfg),
-            attribution: false,
-            reconfig_cost: None,
-        }
-        .run_raw(&w),
-        Err(algo_err) => {
-            let spec: StackSpec = name
-                .parse()
-                .map_err(|spec_err| format!("{algo_err}; {spec_err}"))?;
-            StackExperiment {
-                spec,
-                params,
-                machine,
-                timeline: Some(cfg),
-                attribution: false,
-                reconfig_cost: None,
-            }
-            .run_raw(&w)
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    let exp = Experiment::new(parse_spec(name)?)
+        .with_cs(cs)
+        .on_machine(machine)
+        .with_timeline(cfg);
+    let r = exp.run_raw(&w).map_err(|e| e.to_string())?;
     print!("{}", elastisched::render_timeline(&r.timeline));
     if let Some(path) = args.get("jsonl") {
         std::fs::write(path, r.timeline.to_jsonl())
@@ -441,14 +383,10 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     let w = load_trace(trace)?;
     if let Some(id) = args.get("why-wait") {
         let job: u64 = id.parse().map_err(|_| "bad --why-wait id".to_string())?;
-        let exp = StackExperiment {
-            spec,
-            params: SchedParams::with_cs(cs),
-            machine,
-            timeline: None,
-            attribution: true,
-            reconfig_cost: None,
-        };
+        let exp = Experiment::new(spec)
+            .with_cs(cs)
+            .on_machine(machine)
+            .with_attribution();
         let r = exp.run_raw(&w).map_err(|e| e.to_string())?;
         let o = r
             .outcomes
@@ -463,14 +401,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         .ok_or("--job is required")?
         .parse()
         .map_err(|_| "bad --job id".to_string())?;
-    let exp = StackExperiment {
-        spec,
-        params: SchedParams::with_cs(cs),
-        machine,
-        timeline: None,
-        attribution: false,
-        reconfig_cost: None,
-    };
+    let exp = Experiment::new(spec).with_cs(cs).on_machine(machine);
     let r = exp
         .run_traced(&w, elastisched_trace::TraceSink::new())
         .map_err(|e| e.to_string())?;

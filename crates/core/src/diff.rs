@@ -22,7 +22,7 @@
 //! performance detail: a cached and an uncached solve that choose the
 //! same jobs are the *same* decision).
 
-use crate::experiment::StackExperiment;
+use crate::experiment::Experiment;
 use elastisched_metrics::RunMetrics;
 use elastisched_sim::{
     AttributionProfile, JobOutcome, SimError, TraceEvent, TraceSink, WaitAttribution,
@@ -123,12 +123,8 @@ pub fn first_divergence(a: &[Decision], b: &[Decision]) -> Option<FirstDivergenc
 
 /// Run both experiments over `workload` — attribution and tracing
 /// forced on — and assemble the full comparison.
-pub fn diff_runs(
-    a: &StackExperiment,
-    b: &StackExperiment,
-    workload: &Workload,
-) -> Result<RunDiff, SimError> {
-    let run = |exp: &StackExperiment| -> Result<(RunMetrics, Vec<Decision>), SimError> {
+pub fn diff_runs(a: &Experiment, b: &Experiment, workload: &Workload) -> Result<RunDiff, SimError> {
+    let run = |exp: &Experiment| -> Result<(RunMetrics, Vec<Decision>), SimError> {
         let mut exp = exp.clone();
         exp.attribution = true;
         let result = exp.run_traced(workload, TraceSink::new())?;
@@ -311,7 +307,7 @@ pub fn render_diff(d: &RunDiff) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::StackExperiment;
+    use crate::experiment::Experiment;
     use elastisched_sched::{Algorithm, StackSpec};
     use elastisched_workload::{generate, GeneratorConfig};
 
@@ -319,8 +315,8 @@ mod tests {
         generate(&GeneratorConfig::paper_batch(0.5).with_jobs(120).with_seed(7))
     }
 
-    fn exp(algo: Algorithm) -> StackExperiment {
-        StackExperiment::new(algo.stack_spec())
+    fn exp(algo: Algorithm) -> Experiment {
+        Experiment::new(algo)
     }
 
     #[test]
@@ -383,7 +379,7 @@ mod tests {
         );
         let a: StackSpec = "fcfs+d".parse().unwrap();
         let b: StackSpec = "easy+d".parse().unwrap();
-        let d = diff_runs(&StackExperiment::new(a), &StackExperiment::new(b), &w).unwrap();
+        let d = diff_runs(&Experiment::new(a), &Experiment::new(b), &w).unwrap();
         assert_eq!(d.a.scheduler, "FCFS-D");
         assert_eq!(d.b.scheduler, "EASY-D");
         assert!(d.divergence.is_some());

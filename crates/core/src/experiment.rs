@@ -1,7 +1,7 @@
 //! Running one scheduling experiment end to end.
 
 use elastisched_metrics::{RunAccumulator, RunMetrics};
-use elastisched_sched::{Algorithm, SchedParams, StackSpec};
+use elastisched_sched::{SchedParams, StackSpec};
 use elastisched_sim::{
     Engine, JobSource, Machine, ReconfigCost, SimError, SimResult, TimelineConfig, TraceSink,
 };
@@ -36,158 +36,14 @@ impl MachineSpec {
     }
 }
 
-/// One experiment: an algorithm (with tunables) against a workload on a
-/// machine.
+/// One experiment: a scheduler stack (with tunables) against a workload
+/// on a machine. The stack is any [`StackSpec`] composition — a registry
+/// [`Algorithm`](elastisched_sched::Algorithm) converts into its own
+/// stack, and the stack syntax also
+/// names compositions outside the paper's Table III (e.g. `"fcfs+d"` or
+/// `"conservative+d+e"`).
 #[derive(Debug, Clone)]
 pub struct Experiment {
-    /// Which scheduling algorithm.
-    pub algorithm: Algorithm,
-    /// `C_s` and lookahead for the LOS family.
-    pub params: SchedParams,
-    /// Machine dimensions.
-    pub machine: MachineSpec,
-    /// When set, every run records a budget-bounded virtual-time
-    /// telemetry timeline (`RunMetrics::timeline`).
-    pub timeline: Option<TimelineConfig>,
-    /// When set, every run classifies each job's queue wait by cause
-    /// (`RunMetrics::attribution`, `JobOutcome::attribution`).
-    pub attribution: bool,
-    /// When set, overrides the engine's malleable reconfiguration-cost
-    /// model (relevant to `+m` stacks; `None` keeps the engine default).
-    pub reconfig_cost: Option<ReconfigCost>,
-}
-
-impl Experiment {
-    /// An experiment on the paper's BlueGene/P with default tunables.
-    pub fn new(algorithm: Algorithm) -> Self {
-        Experiment {
-            algorithm,
-            params: SchedParams::default(),
-            machine: MachineSpec::BLUEGENE_P,
-            timeline: None,
-            attribution: false,
-            reconfig_cost: None,
-        }
-    }
-
-    /// Override the maximum skip count `C_s`.
-    pub fn with_cs(mut self, cs: u32) -> Self {
-        self.params.cs = cs;
-        self
-    }
-
-    /// Override the machine.
-    pub fn on_machine(mut self, machine: MachineSpec) -> Self {
-        self.machine = machine;
-        self
-    }
-
-    /// Enable the virtual-time telemetry sampler for every run.
-    pub fn with_timeline(mut self, cfg: TimelineConfig) -> Self {
-        self.timeline = Some(cfg);
-        self
-    }
-
-    /// Enable per-job wait-time attribution for every run.
-    pub fn with_attribution(mut self) -> Self {
-        self.attribution = true;
-        self
-    }
-
-    /// Override the malleable reconfiguration-cost model.
-    pub fn with_reconfig_cost(mut self, cost: ReconfigCost) -> Self {
-        self.reconfig_cost = Some(cost);
-        self
-    }
-
-    fn build_engine(&self) -> Engine<Box<dyn elastisched_sim::Scheduler + Send>> {
-        let scheduler = self.algorithm.build(self.params);
-        let mut engine = Engine::new(self.machine.build(), scheduler, self.algorithm.ecc_policy());
-        if let Some(cfg) = self.timeline {
-            engine.enable_timeline(cfg);
-        }
-        if self.attribution {
-            engine.enable_attribution();
-        }
-        if let Some(cost) = self.reconfig_cost {
-            engine.set_reconfig_cost(cost);
-        }
-        engine
-    }
-
-    /// Run against a workload, returning the raw simulation result.
-    /// The ECC policy is chosen by the algorithm (`-E` variants process
-    /// ECCs; others drop them).
-    pub fn run_raw(&self, workload: &Workload) -> Result<SimResult, SimError> {
-        let mut engine = self.build_engine();
-        engine.load(&workload.jobs, &workload.eccs)?;
-        engine.run()
-    }
-
-    /// Run against a workload with structured tracing enabled. The
-    /// returned result carries the populated [`TraceSink`] in
-    /// `SimResult::trace`; export or query it with the `elastisched-trace`
-    /// helpers.
-    pub fn run_traced(&self, workload: &Workload, sink: TraceSink) -> Result<SimResult, SimError> {
-        let mut engine = self.build_engine();
-        engine.enable_tracing(sink);
-        engine.load(&workload.jobs, &workload.eccs)?;
-        engine.run()
-    }
-
-    /// Run against a workload and summarize with the paper's metrics.
-    ///
-    /// When a telemetry campaign is active (`--serve-metrics` /
-    /// `--progress`), the derived metrics are also folded into the
-    /// campaign's per-scheduler cost table and live gauges
-    /// ([`crate::telemetry::record_run`]); otherwise that hook is a
-    /// single branch.
-    pub fn run(&self, workload: &Workload) -> Result<RunMetrics, SimError> {
-        let metrics = RunMetrics::from_result(&self.run_raw(workload)?);
-        crate::telemetry::record_run(&metrics);
-        Ok(metrics)
-    }
-
-    /// Run over a streaming [`JobSource`], returning the raw result with
-    /// outcomes retained. Arrivals are admitted lazily and per-job engine
-    /// state is reclaimed at completion, so peak engine memory tracks
-    /// live jobs; the outcome vector still grows with the trace — use
-    /// [`Experiment::run_streamed`] to bound that too.
-    pub fn run_streamed_raw(&self, source: impl JobSource) -> Result<SimResult, SimError> {
-        self.build_engine().run_streaming(source)
-    }
-
-    /// Run over a streaming [`JobSource`] end to end in memory bounded
-    /// by *live* jobs: outcomes are folded into `acc` as they complete
-    /// and never retained. With [`RunAccumulator::exact`] the metrics
-    /// are bit-identical to the materialized [`Experiment::run`]; with
-    /// [`RunAccumulator::bounded`] even the per-job wait series is
-    /// grouped (`wait_summary.std_dev` exact only to ulp level).
-    pub fn run_streamed_with(
-        &self,
-        source: impl JobSource,
-        mut acc: RunAccumulator,
-    ) -> Result<RunMetrics, SimError> {
-        let engine = self.build_engine();
-        let result = engine.run_streaming_folded(source, &mut |o| acc.record(o))?;
-        let metrics = acc.finish(&result);
-        crate::telemetry::record_run(&metrics);
-        Ok(metrics)
-    }
-
-    /// [`Experiment::run_streamed_with`] on the exact accumulator: the
-    /// streamed, fold-as-you-go equivalent of [`Experiment::run`].
-    pub fn run_streamed(&self, source: impl JobSource) -> Result<RunMetrics, SimError> {
-        self.run_streamed_with(source, RunAccumulator::exact())
-    }
-}
-
-/// One experiment over an arbitrary policy stack: where [`Experiment`]
-/// is limited to the registry's named [`Algorithm`]s, this runs any
-/// [`StackSpec`] composition (e.g. `"fcfs+d"` or `"conservative+d+e"`),
-/// including stacks outside the paper's Table III.
-#[derive(Debug, Clone)]
-pub struct StackExperiment {
     /// Which scheduler stack.
     pub spec: StackSpec,
     /// `C_s` and lookahead for the LOS family.
@@ -205,11 +61,15 @@ pub struct StackExperiment {
     pub reconfig_cost: Option<ReconfigCost>,
 }
 
-impl StackExperiment {
+/// The former name of [`Experiment`] for arbitrary stacks, kept so code
+/// that names it keeps compiling.
+pub type StackExperiment = Experiment;
+
+impl Experiment {
     /// An experiment on the paper's BlueGene/P with default tunables.
-    pub fn new(spec: StackSpec) -> Self {
-        StackExperiment {
-            spec,
+    pub fn new(spec: impl Into<StackSpec>) -> Self {
+        Experiment {
+            spec: spec.into(),
             params: SchedParams::default(),
             machine: MachineSpec::BLUEGENE_P,
             timeline: None,
@@ -263,16 +123,19 @@ impl StackExperiment {
         engine
     }
 
-    /// Run against a workload, returning the raw simulation result. The
-    /// ECC policy is chosen by the spec's `+e` flag.
+    /// Run against a workload, returning the raw simulation result.
+    /// The ECC policy is chosen by the stack's `+e` flag (`-E` variants
+    /// process ECCs; others drop them).
     pub fn run_raw(&self, workload: &Workload) -> Result<SimResult, SimError> {
         let mut engine = self.build_engine();
         engine.load(&workload.jobs, &workload.eccs)?;
         engine.run()
     }
 
-    /// Run against a workload with structured tracing enabled — the
-    /// stack-spec counterpart of [`Experiment::run_traced`].
+    /// Run against a workload with structured tracing enabled. The
+    /// returned result carries the populated [`TraceSink`] in
+    /// `SimResult::trace`; export or query it with the `elastisched-trace`
+    /// helpers.
     pub fn run_traced(&self, workload: &Workload, sink: TraceSink) -> Result<SimResult, SimError> {
         let mut engine = self.build_engine();
         engine.enable_tracing(sink);
@@ -280,18 +143,34 @@ impl StackExperiment {
         engine.run()
     }
 
-    /// Run against a workload and summarize with the paper's metrics
-    /// (feeding the live-telemetry campaign when one is active, exactly
-    /// like [`Experiment::run`]).
+    /// Run against a workload and summarize with the paper's metrics.
+    ///
+    /// When a telemetry campaign is active (`--serve-metrics` /
+    /// `--progress`), the derived metrics are also folded into the
+    /// campaign's per-scheduler cost table and live gauges
+    /// ([`crate::telemetry::record_run`]); otherwise that hook is a
+    /// single branch.
     pub fn run(&self, workload: &Workload) -> Result<RunMetrics, SimError> {
         let metrics = RunMetrics::from_result(&self.run_raw(workload)?);
         crate::telemetry::record_run(&metrics);
         Ok(metrics)
     }
 
-    /// Run over a streaming [`JobSource`] with outcomes folded into
-    /// `acc` — the stack-spec counterpart of
-    /// [`Experiment::run_streamed_with`].
+    /// Run over a streaming [`JobSource`], returning the raw result with
+    /// outcomes retained. Per-job engine state is reclaimed at
+    /// completion, so peak engine memory tracks live jobs; the outcome
+    /// vector still grows with the trace — use
+    /// [`Experiment::run_streamed`] to bound that too.
+    pub fn run_streamed_raw(&self, source: impl JobSource) -> Result<SimResult, SimError> {
+        self.build_engine().run_streaming(source)
+    }
+
+    /// Run over a streaming [`JobSource`] end to end in memory bounded
+    /// by *live* jobs: outcomes are folded into `acc` as they complete
+    /// and never retained. With [`RunAccumulator::exact`] the metrics
+    /// are bit-identical to [`Experiment::run`] on the same workload;
+    /// with [`RunAccumulator::bounded`] even the per-job wait series is
+    /// grouped (`wait_summary.std_dev` exact only to ulp level).
     pub fn run_streamed_with(
         &self,
         source: impl JobSource,
@@ -304,7 +183,8 @@ impl StackExperiment {
         Ok(metrics)
     }
 
-    /// [`StackExperiment::run_streamed_with`] on the exact accumulator.
+    /// [`Experiment::run_streamed_with`] on the exact accumulator: the
+    /// streamed, fold-as-you-go equivalent of [`Experiment::run`].
     pub fn run_streamed(&self, source: impl JobSource) -> Result<RunMetrics, SimError> {
         self.run_streamed_with(source, RunAccumulator::exact())
     }
@@ -313,6 +193,7 @@ impl StackExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elastisched_sched::Algorithm;
     use elastisched_workload::{generate, GeneratorConfig};
 
     #[test]
@@ -379,7 +260,7 @@ mod tests {
         // FCFS-D exists only through the stack syntax, not as a named
         // registry algorithm.
         let spec: StackSpec = "fcfs+d".parse().unwrap();
-        let m = StackExperiment::new(spec).run(&w).unwrap();
+        let m = Experiment::new(spec).run(&w).unwrap();
         assert_eq!(m.scheduler, "FCFS-D");
         assert_eq!(m.jobs, 60);
         assert!(m.dedicated_jobs > 0);
@@ -395,7 +276,7 @@ mod tests {
         );
         for algo in [Algorithm::Easy, Algorithm::HybridLosE, Algorithm::LosD] {
             let a = Experiment::new(algo).run(&w).unwrap();
-            let b = StackExperiment::new(algo.stack_spec()).run(&w).unwrap();
+            let b = Experiment::new(algo.stack_spec()).run(&w).unwrap();
             assert_eq!(a, b, "{algo}");
         }
     }
@@ -409,10 +290,10 @@ mod tests {
                 .with_seed(6),
         );
         assert!(w.jobs.iter().any(|j| j.is_malleable()));
-        let base = StackExperiment::new("delayed-los".parse().unwrap())
+        let base = Experiment::new("delayed-los".parse::<StackSpec>().unwrap())
             .run(&w)
             .unwrap();
-        let mal = StackExperiment::new("delayed-los+m".parse().unwrap())
+        let mal = Experiment::new("delayed-los+m".parse::<StackSpec>().unwrap())
             .run(&w)
             .unwrap();
         assert_eq!(mal.scheduler, "Delayed-LOS-M");
@@ -425,7 +306,7 @@ mod tests {
 
         // The cost-model override plumbs through: free reconfigurations
         // charge nothing.
-        let free = StackExperiment::new("delayed-los+m".parse().unwrap())
+        let free = Experiment::new("delayed-los+m".parse::<StackSpec>().unwrap())
             .with_reconfig_cost(ReconfigCost::FREE)
             .run(&w)
             .unwrap();

@@ -228,12 +228,9 @@ fn load_sweep(
         },
         |(ai, li, wi, algo, params)| {
             let exp = Experiment {
-                algorithm: algo,
                 params,
                 machine,
-                timeline: None,
-                attribution: false,
-                reconfig_cost: None,
+                ..Experiment::new(algo)
             };
             let m = exp
                 .run(&workloads[wi].1)
@@ -664,15 +661,12 @@ pub fn ablation_lookahead(cfg: &ReproConfig) -> Figure {
         |_, (_, look, wi)| format!("ablation lookahead={look} wl{wi}"),
         |(i, look, wi)| {
             let exp = Experiment {
-                algorithm: Algorithm::DelayedLos,
                 params: SchedParams {
                     cs: default_cs_for_ps(0.2),
                     lookahead: look,
                 },
                 machine,
-                timeline: None,
-                attribution: false,
-                reconfig_cost: None,
+                ..Experiment::new(Algorithm::DelayedLos)
             };
             (i, exp.run(&workloads[wi]).expect("simulation must complete"))
         },

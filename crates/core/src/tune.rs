@@ -10,7 +10,7 @@
 use crate::calibrate::calibrated_workload;
 use crate::experiment::{Experiment, MachineSpec};
 use crate::sweep::parallel_map;
-use elastisched_sched::{Algorithm, SchedParams};
+use elastisched_sched::Algorithm;
 use elastisched_workload::GeneratorConfig;
 use serde::{Deserialize, Serialize};
 
@@ -57,14 +57,9 @@ pub fn tune_cs(
     }
     crate::telemetry::begin_stage("tune-cs", tasks.len());
     let results: Vec<(usize, f64, f64)> = parallel_map(tasks, |(ci, cs, wi)| {
-        let exp = Experiment {
-            algorithm: Algorithm::DelayedLos,
-            params: SchedParams::with_cs(cs),
-            machine,
-            timeline: None,
-            attribution: false,
-            reconfig_cost: None,
-        };
+        let exp = Experiment::new(Algorithm::DelayedLos)
+            .with_cs(cs)
+            .on_machine(machine);
         let m = exp.run(&workloads[wi]).expect("simulation must complete");
         (ci, m.mean_wait, m.utilization)
     });

@@ -17,9 +17,9 @@
 //! ELASTISCHED_REGEN_GOLDEN=1 cargo test -p elastisched --test engine_determinism
 //! ```
 
-use elastisched::{Experiment, StackExperiment};
+use elastisched::Experiment;
 use elastisched_metrics::RunMetrics;
-use elastisched_sched::Algorithm;
+use elastisched_sched::{Algorithm, StackSpec};
 use elastisched_workload::{generate, GeneratorConfig, Workload};
 
 const GOLDEN_PATH: &str = concat!(
@@ -124,7 +124,7 @@ fn malleable_run_metrics_match_golden() {
     let measured: Vec<RunMetrics> = ["delayed-los+m", "hybrid-los+d+m", "easy+m", "fcfs+m"]
         .iter()
         .map(|spec| {
-            StackExperiment::new(spec.parse().unwrap())
+            Experiment::new(spec.parse::<StackSpec>().unwrap())
                 .run(&w)
                 .expect("run succeeds")
         })

@@ -1,17 +1,21 @@
 //! Streaming ≡ materialized differential suite.
 //!
 //! Every test runs the same workload twice — once materialized
-//! (`Engine::load` + `run`, via [`Experiment::run`]) and once pulled
-//! lazily from a [`JobSource`] with per-job state reclaimed at
-//! completion — and asserts [`RunMetrics`] *identity*. RunMetrics
-//! equality covers every simulation-derived quantity including the DP
-//! cache hit/miss and incremental counters, so a pass means the
-//! streamed engine made bit-for-bit the same scheduling decisions in
+//! (`Engine::load` + `run`, via [`Experiment::run`]: validated, sorted
+//! copies streamed from memory) and once pulled lazily from a
+//! [`JobSource`] over a generator or a trace text — and asserts
+//! [`RunMetrics`] *identity*. Both go through the engine's one event
+//! loop; what differs is everything in front of it (parsing, sorting,
+//! re-timing, lookahead, and whether outcomes are folded or retained).
+//! RunMetrics equality covers every simulation-derived quantity
+//! including the DP cache hit/miss and incremental counters, so a pass
+//! means both runs made bit-for-bit the same scheduling decisions in
 //! the same order, not merely similar aggregates.
 
-use elastisched::{Experiment, StackExperiment};
+use elastisched::Experiment;
 use elastisched_metrics::RunAccumulator;
-use elastisched_sched::Algorithm;
+use elastisched_sched::{Algorithm, StackSpec};
+use elastisched_sim::SimTime;
 use elastisched_workload::{
     generate, CwfFile, CwfSource, GeneratorConfig, LublinSource, ScaleArrivals, SwfFile,
     SwfRecord, SwfSource, Workload,
@@ -64,6 +68,43 @@ fn slice_source_matches_materialized() {
         let materialized = exp.run(&w).unwrap();
         let streamed = exp.run_streamed(w.source()).unwrap();
         assert_eq!(streamed, materialized, "{algo}: streamed slices diverged");
+    }
+}
+
+/// `items`, sorted by `time`, with its distinct instants in reverse
+/// order and each instant's items kept in slice order.
+fn reverse_instants<T: Copy>(items: &[T], time: impl Fn(&T) -> SimTime) -> Vec<T> {
+    let mut instants: Vec<Vec<T>> = Vec::new();
+    for item in items {
+        match instants.last_mut() {
+            Some(group) if time(&group[0]) == time(item) => group.push(*item),
+            _ => {
+                assert!(instants.last().map_or(true, |g| time(&g[0]) < time(item)));
+                instants.push(vec![*item]);
+            }
+        }
+    }
+    instants.into_iter().rev().flatten().collect()
+}
+
+#[test]
+fn shuffled_slices_match_sorted_slices() {
+    // `load` stable-sorts its copies by time, so a slice order that
+    // keeps each instant's items in their original order must run
+    // identically — here the instants themselves run backwards.
+    let w = generate(&heavy_config());
+    let mut shuffled = w.clone();
+    shuffled.jobs = reverse_instants(&w.jobs, |j| j.submit);
+    shuffled.eccs = reverse_instants(&w.eccs, |e| e.issue_at);
+    assert_ne!(shuffled.jobs, w.jobs);
+    for algo in algorithms() {
+        let exp = Experiment::new(algo);
+        let sorted = exp.run(&w).unwrap();
+        assert_eq!(
+            exp.run(&shuffled).unwrap(),
+            sorted,
+            "{algo}: slice order leaked"
+        );
     }
 }
 
@@ -207,9 +248,7 @@ fn streamed_timeline_matches_materialized_for_all_algorithms() {
     // The telemetry sampler observes the run rather than steering it,
     // so a streamed run must produce the identical RunTimeline — same
     // decimation level, same sample instants, same utilization / queue
-    // / DP readings, and the same `event_queue_len` (the sampler counts
-    // only reactive events, netting out the materialized loader's
-    // preloaded arrival set).
+    // / DP readings, and the same `event_queue_len`.
     let cfg = heavy_config();
     let w = generate(&cfg);
     let tl_cfg = elastisched_sim::TimelineConfig {
@@ -243,7 +282,7 @@ fn streamed_timeline_matches_materialized_for_all_algorithms() {
 fn stack_experiment_streams_arbitrary_specs() {
     let cfg = heavy_config();
     let w = generate(&cfg);
-    let exp = StackExperiment::new("fcfs+d+e".parse().unwrap());
+    let exp = Experiment::new("fcfs+d+e".parse::<StackSpec>().unwrap());
     let materialized = {
         let raw = exp.run_raw(&w).unwrap();
         elastisched_metrics::RunMetrics::from_result(&raw)
@@ -259,7 +298,7 @@ fn malleable_stack_streams_identically() {
     // it only ever sees a bounded window of the arrival stream.
     let cfg = heavy_config().with_malleable(0.5);
     let w = generate(&cfg);
-    let exp = StackExperiment::new("hybrid-los+d+m".parse().unwrap());
+    let exp = Experiment::new("hybrid-los+d+m".parse::<StackSpec>().unwrap());
     let materialized = {
         let raw = exp.run_raw(&w).unwrap();
         elastisched_metrics::RunMetrics::from_result(&raw)

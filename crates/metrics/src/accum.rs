@@ -289,7 +289,6 @@ mod tests {
             makespan,
             ecc: EccStats::default(),
             reconfig: Default::default(),
-            samples: Vec::new(),
             sched_stats: SchedStats::default(),
             engine: elastisched_sim::EngineStats::default(),
             trace: None,

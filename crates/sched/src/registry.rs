@@ -453,6 +453,12 @@ impl Algorithm {
     }
 }
 
+impl From<Algorithm> for StackSpec {
+    fn from(algo: Algorithm) -> Self {
+        algo.stack_spec()
+    }
+}
+
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())

@@ -141,18 +141,20 @@ fn steady_state_solves_do_not_allocate() {
 }
 
 /// The whole-experiment allocation floor: one 500-job headline run —
-/// scheduler build, engine setup, workload clone-in, event loop, and
+/// scheduler build, engine setup, workload staging, event loop, and
 /// metrics derivation — against the budgets the arena work established
-/// (PR 7: selection-cache keys share one arena, the calendar queue's
-/// slab is sized at load, metrics fold through a pre-sized
-/// accumulator; PR 10: cached selections share an answer arena like
-/// the keys, and the DP staging buffers / incremental tables / batch
-/// queue are pre-sized at construction, collapsing every mid-run
-/// doubling chain). Measured on this workload: build ≈ 16 (one-time
-/// pre-reserves), load ≈ 11 (five purpose tables + event-queue slab),
-/// metrics ≈ 2 (wait series + scheduler name), event loop ≈ 3, full
-/// run ≈ 33. The ceilings leave headroom for allocator rounding but
-/// fail loudly if a per-job or per-slot allocation creeps back in.
+/// (selection-cache keys and cached selections share arenas, the
+/// calendar queue's slab is sized at load, metrics fold through a
+/// pre-sized accumulator, and the DP staging buffers / incremental
+/// tables / batch queue are pre-sized at construction, collapsing
+/// every mid-run doubling chain). Measured on this workload: build ≈ 16
+/// (one-time pre-reserves), load ≈ 7 (five purpose tables, the
+/// event-queue slab, and the staged job copy — already time-sorted, so
+/// no sort buffer), metrics ≈ 2 (wait series + scheduler name), event
+/// loop ≈ 10 (mostly the reclaimed-slot free list doubling up to the
+/// peak live-job count), full run ≈ 35. The ceilings leave headroom for
+/// allocator rounding but fail loudly if a per-job or per-slot
+/// allocation creeps back in.
 #[test]
 fn full_run_allocation_floor() {
     use elastisched_metrics::RunMetrics;

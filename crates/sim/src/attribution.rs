@@ -233,8 +233,8 @@ pub(crate) enum PendingCause {
     Freeze,
 }
 
-/// Per-job attribution accumulator, slab-parallel to the engine's job
-/// records (recycled with the slot on streamed runs).
+/// Per-job attribution accumulator, parallel to the engine's
+/// waiting-job views while the job waits.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct JobAttr {
     /// Instant up to which this job's wait has been charged.
@@ -299,12 +299,18 @@ impl JobAttr {
     }
 }
 
-/// Engine-side attribution state: the per-job slab, the run profile,
-/// and the policy's per-cycle notes. Boxed behind an `Option` on the
-/// engine so the disabled path costs one branch per cycle.
+/// Engine-side attribution state: the per-job accumulators, the run
+/// profile, and the policy's per-cycle notes. Boxed behind an `Option`
+/// on the engine so the disabled path costs one branch per cycle.
 #[derive(Debug, Default)]
 pub(crate) struct AttrState {
-    pub jobs: Vec<JobAttr>,
+    /// Accumulators of waiting jobs, index-parallel to the engine's
+    /// waiting-job views (and compacted with them), so the per-cycle pass
+    /// is a dense scan.
+    pub waiting: Vec<JobAttr>,
+    /// Final buckets of started jobs, parallel to the record slab, from
+    /// start until the completion folds them into `profile`.
+    pub started: Vec<WaitAttribution>,
     pub profile: AttributionProfile,
     pub notes: AttrNotes,
 }

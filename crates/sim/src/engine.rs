@@ -7,7 +7,9 @@
 //! virtual clock, job arrival/completion events, an ECC processor, and a
 //! scheduling cycle fired once per distinct event timestamp.
 
-use crate::attribution::{AttrNotes, AttrState, AttributionProfile, JobAttr, PendingCause};
+use crate::attribution::{
+    AttrNotes, AttrState, AttributionProfile, JobAttr, PendingCause, WaitAttribution,
+};
 use crate::ecc::{EccKind, EccPolicy, EccSpec};
 use crate::event::{Event, EventQueue};
 use crate::job::{JobId, JobOutcome, JobRecord, JobSpec, JobState};
@@ -16,7 +18,7 @@ use crate::reconfig::{ReconfigCost, ReconfigStats};
 use crate::running::{RunningJob, RunningSet};
 use crate::sampler::{RunTimeline, TimelineConfig, TimelineSample, TimelineSampler};
 use crate::sched_api::{JobView, SchedContext, SchedStats, Scheduler, StartError};
-use crate::source::{JobSource, SourceItem};
+use crate::source::{JobSource, SliceSource, SourceItem};
 use crate::time::{Duration, SimTime};
 use elastisched_trace::{trace_event, EccTag, PostmortemSnapshot, TraceEvent, TraceSink};
 use std::collections::HashMap;
@@ -175,11 +177,10 @@ pub struct EngineStats {
     pub peak_queue_len: u64,
     /// Wall-clock nanoseconds spent inside [`Engine::run`].
     pub engine_nanos: u64,
-    /// High-water mark of the job-record slab. On the materialized path
-    /// this is the trace length (every job is loaded up front); on the
-    /// streaming paths completed slots are recycled, so it is the peak
-    /// number of simultaneously *live* (admitted, not yet completed)
-    /// jobs — the quantity a soak run's memory is proportional to.
+    /// High-water mark of the job-record slab. Completed slots are
+    /// recycled, so this is the peak number of simultaneously *live*
+    /// (admitted, not yet completed) jobs — the quantity a run's engine
+    /// memory is proportional to, whatever the trace length.
     #[serde(default)]
     pub peak_live_jobs: u64,
     /// High-water mark of the waiting-jobs snapshot buffer, dead views
@@ -191,24 +192,10 @@ pub struct EngineStats {
     #[serde(default)]
     pub peak_wait_views: u64,
     /// Completed jobs whose record-slab slot, id-map entry, and
-    /// wait-view were recycled (streaming runs only; always zero on the
-    /// materialized path, which keeps every record for inspection).
+    /// wait-view were recycled — every completed job, since the engine
+    /// always reclaims at completion.
     #[serde(default)]
     pub jobs_reclaimed: u64,
-}
-
-/// A periodic snapshot of system state (sampling must be enabled on the
-/// engine via [`Engine::enable_sampling`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StateSample {
-    /// When the sample was taken.
-    pub at: SimTime,
-    /// Free processors after the scheduling cycle.
-    pub free: u32,
-    /// Jobs waiting in the scheduler's queues.
-    pub waiting: usize,
-    /// Jobs running.
-    pub running: usize,
 }
 
 /// Everything a simulation run produces.
@@ -232,8 +219,6 @@ pub struct SimResult {
     pub ecc: EccStats,
     /// Scheduler-initiated malleable-reconfiguration counters.
     pub reconfig: ReconfigStats,
-    /// Periodic state samples (empty unless sampling was enabled).
-    pub samples: Vec<StateSample>,
     /// Decision-kernel counters reported by the scheduler.
     pub sched_stats: SchedStats,
     /// Event-loop counters (traffic, coalescing, wall-clock).
@@ -258,6 +243,15 @@ impl SimResult {
             return 0.0;
         }
         self.busy_area / (self.machine_total as f64 * h)
+    }
+}
+
+/// Stable-sort `items` by `time`, skipping the sort (and its scratch
+/// allocation) when they are already in order, as generated and parsed
+/// workloads usually are.
+fn sort_by_time<T>(items: &mut [T], time: impl Fn(&T) -> SimTime) {
+    if items.windows(2).any(|w| time(&w[0]) > time(&w[1])) {
+        items.sort_by_key(time);
     }
 }
 
@@ -305,22 +299,21 @@ struct EngineState {
     /// is never rebuilt.
     wait_views: Vec<JobView>,
     /// Record-slab slot of each view in `wait_views` (same indexing,
-    /// mutated in lockstep). Compaction reads liveness straight from the
-    /// record — no id hashing — and writes the surviving views' new
-    /// positions back into their records (`JobRecord::wait_pos`).
+    /// mutated in lockstep), or [`STARTED`] once the job has started.
+    /// Every scan reads liveness from this dense array instead of the
+    /// records — a recycled slab leaves waiting jobs' records scattered —
+    /// and compaction writes the surviving views' new positions back into
+    /// their records (`JobRecord::wait_pos`).
     wait_recs: Vec<u32>,
     wait_head: usize,
     wait_stale: usize,
     /// High-water mark of `wait_views.len()` (see
     /// [`EngineStats::peak_wait_views`]).
     peak_wait_views: usize,
-    /// Free record-slab slots (streaming runs only). A completed job's
-    /// slot is recycled for a later arrival, so the slab tracks peak
-    /// *live* jobs, not trace length.
+    /// Free record-slab slots. A completed job's slot is recycled for a
+    /// later arrival, so the slab tracks peak *live* jobs, not trace
+    /// length.
     free_slots: Vec<usize>,
-    /// Reclaim job state at completion (set by the streaming run paths;
-    /// the materialized path keeps every record for post-run inspection).
-    reclaim: bool,
     /// Trace sink, present only when tracing was enabled for this run.
     /// Boxed so the disabled path carries one pointer, not the sink's
     /// inline histogram. `None` means every `trace_event!` call site in
@@ -330,14 +323,12 @@ struct EngineState {
     /// [`Engine::enable_attribution`]); same one-branch discipline as
     /// the trace sink.
     attr: Option<Box<AttrState>>,
-    /// Events still in the queue because [`Engine::load`] pre-queued the
-    /// whole trace (arrivals + ECCs not yet dispatched). Subtracted from
-    /// the sampled `event_queue_len` so the telemetry timeline reports
-    /// only *reactive* events (completions, wakeups) and the streamed
-    /// and materialized paths sample identically. Always zero on the
-    /// streaming paths, which admit source items without queueing them.
-    preloaded_pending: u64,
 }
+
+/// [`EngineState::wait_recs`] marker for the view of a started job: it
+/// stays in the buffer until the next compaction, and every scan skips
+/// it.
+const STARTED: u32 = u32::MAX;
 
 impl EngineState {
     fn record(&self, id: JobId) -> Option<&JobRecord> {
@@ -345,10 +336,7 @@ impl EngineState {
     }
 
     fn record_mut(&mut self, id: JobId) -> Option<&mut JobRecord> {
-        match self.id_map.get(&id) {
-            Some(&i) => Some(&mut self.records[i]),
-            None => None,
-        }
+        self.id_map.get(&id).map(|&i| &mut self.records[i])
     }
 
     /// Bring the waiting-jobs snapshot back to exactness. Head starts
@@ -356,26 +344,31 @@ impl EngineState {
     /// (`wait_stale`) forces a compaction pass, and a long dead prefix is
     /// reclaimed so the buffer does not grow without bound.
     fn sync_wait_views(&mut self) {
+        // Per-job attribution accumulators sit parallel to the views and
+        // move with them.
+        let mut attr = self.attr.as_deref_mut().map(|a| &mut a.waiting);
         if self.wait_stale > 0 {
-            // One in-place pass: each view carries its record slot, so
-            // liveness is a state load (no id hashing), and every
-            // surviving view writes its new position back into its
-            // record for the O(1) queued-ECC edit. The id check guards
-            // the streaming case where a dead view's slot was already
-            // recycled by a later arrival.
+            // One in-place pass: liveness is one dense load per view, and
+            // every surviving view writes its new position back into its
+            // record for the O(1) queued-ECC edit.
             let mut w = 0;
             for r in 0..self.wait_views.len() {
-                let slot = self.wait_recs[r] as usize;
-                let rec = &mut self.records[slot];
-                if rec.state == JobState::Waiting && rec.spec.id == self.wait_views[r].id {
-                    rec.wait_pos = w as u32;
+                let slot = self.wait_recs[r];
+                if slot != STARTED {
+                    self.records[slot as usize].wait_pos = w as u32;
                     self.wait_views[w] = self.wait_views[r];
-                    self.wait_recs[w] = slot as u32;
+                    self.wait_recs[w] = slot;
+                    if let Some(waiting) = attr.as_deref_mut() {
+                        waiting[w] = waiting[r];
+                    }
                     w += 1;
                 }
             }
             self.wait_views.truncate(w);
             self.wait_recs.truncate(w);
+            if let Some(waiting) = attr {
+                waiting.truncate(w);
+            }
             self.wait_head = 0;
             self.wait_stale = 0;
         } else if self.wait_head > 32 && self.wait_head * 2 > self.wait_views.len() {
@@ -388,6 +381,9 @@ impl EngineState {
             }
             self.wait_views.drain(..head);
             self.wait_recs.drain(..head);
+            if let Some(waiting) = attr {
+                waiting.drain(..head);
+            }
             self.wait_head = 0;
         }
     }
@@ -421,11 +417,19 @@ impl SchedContext for EngineState {
         if rec.state != JobState::Waiting {
             return Err(StartError::NotWaiting(id));
         }
+        let pos = rec.wait_pos as usize;
+        debug_assert_eq!(self.wait_views[pos].id, id, "record lost its view");
         // Final attribution charge: the job stops waiting this instant,
         // so the interval since the last cycle goes to its pending
         // cause and the buckets telescope to exactly the job's wait.
+        // They ride with the record slot until the completion folds them.
         if let Some(attr) = self.attr.as_deref_mut() {
-            attr.jobs[idx].charge_until(now, rec.spec.eligible_at());
+            let ja = &mut attr.waiting[pos];
+            ja.charge_until(now, rec.spec.eligible_at());
+            if attr.started.len() <= idx {
+                attr.started.resize(idx + 1, WaitAttribution::default());
+            }
+            attr.started[idx] = ja.attr;
         }
         let alloc = rec.alloc;
         let kill_by = now + rec.est_dur;
@@ -447,7 +451,8 @@ impl SchedContext for EngineState {
         // Snapshot upkeep: starting the snapshot head (the FIFO-discipline
         // common case) is a cursor bump; anything else defers to a
         // compaction at the next borrow.
-        if self.wait_views.get(self.wait_head).is_some_and(|v| v.id == id) {
+        self.wait_recs[pos] = STARTED;
+        if pos == self.wait_head {
             self.wait_head += 1;
         } else {
             self.wait_stale += 1;
@@ -648,18 +653,19 @@ pub struct Engine<S: Scheduler> {
     first_arrival: SimTime,
     last_arrival: SimTime,
     /// Jobs completed so far — `outcomes.len()` when outcomes are
-    /// retained, but still counted when a streaming run folds them away.
+    /// retained, but still counted when a folded run consumes them.
     completed: u64,
-    sample_every: Option<Duration>,
-    last_sample: Option<SimTime>,
-    samples: Vec<StateSample>,
+    /// Time-sorted copies of the workload staged by [`Engine::load`],
+    /// streamed by [`Engine::run`].
+    jobs: Vec<JobSpec>,
+    eccs: Vec<EccSpec>,
     /// Virtual-time telemetry sampler, `None` (one branch per cycle)
     /// unless enabled. Boxed so the disabled engine carries a pointer,
     /// not the sample buffer.
     timeline: Option<Box<TimelineSampler>>,
     /// Armed flight recorder, `None` unless enabled.
     postmortem: Option<FlightRecorder>,
-    /// Completed jobs whose state was recycled (streaming paths).
+    /// Completed jobs whose state was recycled.
     reclaimed: u64,
     /// Previous cycle's timestamp, for the audit layer's clock check.
     #[cfg(feature = "audit")]
@@ -690,30 +696,20 @@ impl<S: Scheduler> Engine<S> {
                 wait_stale: 0,
                 peak_wait_views: 0,
                 free_slots: Vec::new(),
-                reclaim: false,
                 trace: None,
                 attr: None,
-                preloaded_pending: 0,
             },
             first_arrival: SimTime::MAX,
             last_arrival: SimTime::ZERO,
             completed: 0,
-            sample_every: None,
-            last_sample: None,
-            samples: Vec::new(),
+            jobs: Vec::new(),
+            eccs: Vec::new(),
             timeline: None,
             postmortem: None,
             reclaimed: 0,
             #[cfg(feature = "audit")]
             last_cycle_at: SimTime::ZERO,
         }
-    }
-
-    /// Record a [`StateSample`] after the scheduling cycle of the first
-    /// event timestamp in every `interval`-long window.
-    pub fn enable_sampling(&mut self, interval: Duration) {
-        assert!(interval > Duration::ZERO, "sampling interval must be positive");
-        self.sample_every = Some(interval);
     }
 
     /// Attach a trace sink: the run records lifecycle, decision, and
@@ -726,8 +722,7 @@ impl<S: Scheduler> Engine<S> {
     /// Record a [`RunTimeline`]: one [`TimelineSample`] per virtual-time
     /// stride at cycle boundaries, decimating (drop every other point,
     /// double the stride) whenever the point budget fills — so any run,
-    /// 500 jobs or 10⁶, ends with at most `cfg.budget` samples. Works
-    /// identically on [`Engine::run`] and the streaming paths. Without
+    /// 500 jobs or 10⁶, ends with at most `cfg.budget` samples. Without
     /// this call the sampler costs one branch per scheduling cycle.
     pub fn enable_timeline(&mut self, cfg: TimelineConfig) {
         self.timeline = Some(Box::new(TimelineSampler::new(cfg)));
@@ -739,11 +734,11 @@ impl<S: Scheduler> Engine<S> {
     /// previous cycle, so the per-job buckets telescope to exactly the
     /// job's wait. The per-job [`crate::WaitAttribution`] rides on its
     /// [`JobOutcome`] and the per-run [`AttributionProfile`] on
-    /// [`SimResult::attribution`]. Works identically on [`Engine::run`]
-    /// and the streaming paths — per-job state is recycled with the
-    /// record slot and the profile folds O(1) at completion, so soaks
-    /// carry it in bounded memory. Without this call attribution costs
-    /// one branch per scheduling cycle.
+    /// [`SimResult::attribution`]. Per-job state lives beside the
+    /// waiting-job views and then the record slot, both recycled, and
+    /// the profile folds O(1) at completion, so soaks carry it in
+    /// bounded memory. Without this call attribution costs one branch
+    /// per scheduling cycle.
     pub fn enable_attribution(&mut self) {
         self.state.attr = Some(Box::default());
     }
@@ -777,18 +772,19 @@ impl<S: Scheduler> Engine<S> {
         });
     }
 
-    /// Load jobs and ECCs, validating feasibility.
+    /// Stage a materialized workload for [`Engine::run`].
+    ///
+    /// The whole workload is validated up front: a job that can never
+    /// run is [`SimError::ImpossibleJob`], and an id used twice anywhere
+    /// in it is [`SimError::DuplicateJobId`] — even when the first holder
+    /// would have completed before the second arrives. The engine then
+    /// keeps copies of the jobs and ECCs, stable-sorted by time (slice
+    /// order breaks ties), and re-times an ECC issued before its job's
+    /// submission to that instant, where it lands on the newly queued
+    /// job. [`Engine::run`] streams the copies through the one event
+    /// loop like any other [`JobSource`]. Calling `load` again adds to
+    /// what is staged.
     pub fn load(&mut self, jobs: &[JobSpec], eccs: &[EccSpec]) -> Result<(), SimError> {
-        self.state.records.reserve(jobs.len());
-        self.state.id_map.reserve(jobs.len());
-        self.state.outcomes.reserve(jobs.len());
-        // Worst case every job waits at once; one up-front reservation
-        // spares the snapshot repeated mid-run regrowth.
-        self.state.wait_views.reserve(jobs.len());
-        self.state.wait_recs.reserve(jobs.len());
-        // Every spec becomes one pending event; sizing the calendar's
-        // slab once spares a dozen push-by-push regrowths.
-        self.state.queue.reserve(jobs.len() + eccs.len());
         for spec in jobs {
             self.state
                 .machine
@@ -797,83 +793,50 @@ impl<S: Scheduler> Engine<S> {
                     id: spec.id,
                     num: spec.num,
                 })?;
-            let idx = self.state.records.len();
-            if self.state.id_map.insert(spec.id, idx).is_some() {
+        }
+        let n = self.jobs.len() + jobs.len();
+        self.state.records.reserve(n);
+        self.state.id_map.reserve(n);
+        self.state.outcomes.reserve(n);
+        // Worst case every job waits at once; one up-front reservation
+        // spares the snapshot repeated mid-run regrowth.
+        self.state.wait_views.reserve(n);
+        self.state.wait_recs.reserve(n);
+        // Every job queues a completion; sizing the calendar's slab once
+        // spares a dozen push-by-push regrowths.
+        self.state.queue.reserve(n);
+        self.jobs.extend_from_slice(jobs);
+        self.eccs.extend_from_slice(eccs);
+        sort_by_time(&mut self.jobs, |j| j.submit);
+        // ECCs dispatch in issue order, so sort before re-timing: ECCs
+        // moved to the same submit instant keep that order.
+        sort_by_time(&mut self.eccs, |e| e.issue_at);
+        // The id map is empty until the run admits its first job, so it
+        // doubles as the duplicate check's table (id → staged index).
+        let ids = &mut self.state.id_map;
+        for (i, spec) in self.jobs.iter().enumerate() {
+            if ids.insert(spec.id, i).is_some() {
+                ids.clear();
                 return Err(SimError::DuplicateJobId(spec.id));
             }
-            self.state.records.push(JobRecord::new(*spec));
-            self.state.queue.push(spec.submit, Event::Arrival(spec.id));
-            self.state.preloaded_pending += 1;
-            self.first_arrival = self.first_arrival.min(spec.submit);
-            self.last_arrival = self.last_arrival.max(spec.submit);
         }
-        for ecc in eccs {
-            self.state.queue.push(ecc.issue_at, Event::Ecc(*ecc));
-            self.state.preloaded_pending += 1;
+        for ecc in &mut self.eccs {
+            if let Some(&i) = ids.get(&ecc.job) {
+                ecc.issue_at = ecc.issue_at.max(self.jobs[i].submit);
+            }
         }
+        ids.clear();
+        sort_by_time(&mut self.eccs, |e| e.issue_at);
         Ok(())
     }
 
-    /// Run to completion and return the collected result.
+    /// Run the workload staged by [`Engine::load`] to completion and
+    /// return the collected result. The staged copies stream through the
+    /// same loop as [`Engine::run_streaming`].
     pub fn run(mut self) -> Result<SimResult, SimError> {
-        let wall = std::time::Instant::now();
-        let mut engine_stats = EngineStats::default();
-        // Trace preamble: machine shape plus one Submit per loaded job,
-        // so a trace is self-describing even before any event fires.
-        if let Some(tr) = self.state.trace.as_deref_mut() {
-            tr.record(TraceEvent::RunMeta {
-                total: self.state.machine.total(),
-                unit: self.state.machine.unit(),
-                scheduler: self.scheduler.name().to_string(),
-            });
-            for rec in &self.state.records {
-                tr.record(TraceEvent::Submit {
-                    job: rec.spec.id.0,
-                    at: rec.spec.submit.as_secs(),
-                    num: rec.spec.num,
-                    dur: rec.spec.dur.as_secs(),
-                    dedicated: rec.spec.class.requested_start().is_some(),
-                });
-            }
-        }
-        self.guarded(|eng| eng.run_loop(&mut engine_stats))?;
-        self.finish(engine_stats, wall)
-    }
-
-    /// The materialized event loop, separated from [`Engine::run`] so the
-    /// flight recorder can wrap it in a panic guard without consuming the
-    /// engine (the dump needs the post-unwind state).
-    fn run_loop(&mut self, engine_stats: &mut EngineStats) -> Result<(), SimError> {
-        // Reused across instants: one batch drain per cycle, no per-event
-        // peeking and no allocation once it reaches the burst high-water
-        // mark.
-        let mut batch: Vec<Event> = Vec::new();
-        while let Some(t) = self.state.queue.drain_next_instant(&mut batch) {
-            debug_assert!(t >= self.state.now, "event time went backwards");
-            self.state.now = t;
-            self.state.machine.advance_to(t);
-            // Dispatch every event at this instant, then run one cycle.
-            // Dispatching may push *more* events at this same instant
-            // (e.g. a reduce-time ECC completing a job right now), which
-            // the old heap ordered after everything already pending at
-            // `t` — re-draining after the batch preserves that order.
-            let mut dispatched = 0u64;
-            loop {
-                for ev in batch.drain(..) {
-                    dispatched += 1;
-                    self.dispatch(ev, &mut None)?;
-                }
-                if self.state.queue.peek_time() != Some(t) {
-                    break;
-                }
-                self.state.queue.drain_next_instant(&mut batch);
-            }
-            engine_stats.events += dispatched;
-            engine_stats.events_coalesced += dispatched - 1;
-            engine_stats.cycles += 1;
-            self.end_cycle(t, dispatched)?;
-        }
-        Ok(())
+        let jobs = std::mem::take(&mut self.jobs);
+        let eccs = std::mem::take(&mut self.eccs);
+        self.run_streaming(SliceSource::new(&jobs, &eccs))
     }
 
     /// Run `body` under the flight recorder's failure guard when one is
@@ -901,24 +864,21 @@ impl<S: Scheduler> Engine<S> {
     }
 
     /// Run to completion while pulling the workload lazily from a
-    /// [`JobSource`].
+    /// [`JobSource`] (any workload staged by [`Engine::load`] is not
+    /// part of this run).
     ///
-    /// Semantics are identical to [`Engine::load`] + [`Engine::run`] on
-    /// the materialized equivalent of the stream — the differential
-    /// suite in `crates/core/tests` pins `RunMetrics` identity — but
-    /// arrivals are admitted only when the virtual clock reaches them
+    /// Arrivals are admitted only when the virtual clock reaches them
     /// and each job's record, id-map entry, and wait-view are reclaimed
     /// at completion, so peak memory tracks *live* jobs rather than
     /// trace length. Outcomes are still retained in
     /// [`SimResult::outcomes`]; use [`Engine::run_streaming_folded`] to
     /// bound that too.
     ///
-    /// Two contract differences from the materialized path, both
-    /// consequences of not holding the whole trace (see
-    /// [`crate::source`]): duplicate job ids are only detected while the
-    /// first holder is live, and an ECC issued for a reclaimed job
-    /// counts as `dropped_stale` even when the materialized path would
-    /// have classified it `dropped_policy`.
+    /// Because the engine never holds the whole stream (see
+    /// [`crate::source`]), duplicate job ids are only detected while the
+    /// first holder is live, and an ECC for a job that has not arrived
+    /// yet counts as `dropped_stale`; [`Engine::load`] checks and
+    /// re-times a materialized workload so neither case arises there.
     pub fn run_streaming<Src: JobSource>(self, source: Src) -> Result<SimResult, SimError> {
         self.run_streaming_inner(source, None)
     }
@@ -944,9 +904,8 @@ impl<S: Scheduler> Engine<S> {
     ) -> Result<SimResult, SimError> {
         let wall = std::time::Instant::now();
         let mut engine_stats = EngineStats::default();
-        self.state.reclaim = true;
-        // Streaming preamble: just the run shape. Submit events are
-        // emitted per job at admission, when the spec is first seen.
+        // Trace preamble: just the run shape. Submit events are emitted
+        // per job at admission, when the spec is first seen.
         if let Some(tr) = self.state.trace.as_deref_mut() {
             tr.record(TraceEvent::RunMeta {
                 total: self.state.machine.total(),
@@ -954,19 +913,21 @@ impl<S: Scheduler> Engine<S> {
                 scheduler: self.scheduler.name().to_string(),
             });
         }
-        self.guarded(|eng| eng.streaming_loop(&mut source, &mut fold, &mut engine_stats))?;
+        self.guarded(|eng| eng.event_loop(&mut source, &mut fold, &mut engine_stats))?;
         self.finish(engine_stats, wall)
     }
 
-    /// The streaming event loop, separated from
-    /// [`Engine::run_streaming_inner`] for the same reason as
-    /// [`Engine::run_loop`].
-    fn streaming_loop<Src: JobSource>(
+    /// The event loop, separated from [`Engine::run_streaming_inner`] so
+    /// the flight recorder can wrap it in a panic guard without consuming
+    /// the engine (the dump needs the post-unwind state).
+    fn event_loop<Src: JobSource>(
         &mut self,
         source: &mut Src,
         fold: &mut OutcomeFold<'_>,
         engine_stats: &mut EngineStats,
     ) -> Result<(), SimError> {
+        // Reused across instants: one batch drain per cycle, no
+        // allocation once it reaches the burst high-water mark.
         let mut batch: Vec<Event> = Vec::new();
         // Exactly one item is held ahead of the clock so the next
         // instant is always known without draining the source.
@@ -993,20 +954,19 @@ impl<S: Scheduler> Engine<S> {
             self.state.machine.advance_to(t);
             let mut dispatched = 0u64;
             // Admit every source item at this instant before draining
-            // the queue: the materialized loader pushed all of them at
-            // load time, ahead of any event the run itself scheduled, so
-            // dispatching them first reproduces the bucket-FIFO order
-            // (and therefore the whole run) exactly.
+            // the queue, so arrivals and commands precede any event the
+            // run itself scheduled for the same instant.
             while pending.as_ref().is_some_and(|i| i.time() == t) {
                 let item = pending.take().expect("checked above");
                 dispatched += 1;
                 self.admit(item)?;
                 pending = source.next_item();
             }
-            loop {
-                if self.state.queue.peek_time() != Some(t) {
-                    break;
-                }
+            // Dispatching may push *more* events at this same instant
+            // (e.g. a reduce-time ECC completing a job right now); they
+            // run after everything already pending at `t`, in the same
+            // cycle.
+            while self.state.queue.peek_time() == Some(t) {
                 self.state.queue.drain_next_instant(&mut batch);
                 for ev in batch.drain(..) {
                     dispatched += 1;
@@ -1021,9 +981,8 @@ impl<S: Scheduler> Engine<S> {
         Ok(())
     }
 
-    /// Admit one streamed item at its own instant: validate and enrol a
-    /// job exactly like [`Engine::load`] then dispatch its arrival, or
-    /// dispatch an ECC directly.
+    /// Admit one source item at its own instant: validate and enrol a
+    /// job then dispatch its arrival, or dispatch an ECC directly.
     fn admit(&mut self, item: SourceItem) -> Result<(), SimError> {
         match item {
             SourceItem::Job(spec) => {
@@ -1061,7 +1020,7 @@ impl<S: Scheduler> Engine<S> {
                         dedicated: spec.class.requested_start().is_some(),
                     }
                 );
-                self.handle_arrival(spec.id)
+                self.handle_arrival(idx)
             }
             SourceItem::Ecc(ecc) => self.handle_ecc(ecc),
         }
@@ -1070,8 +1029,7 @@ impl<S: Scheduler> Engine<S> {
     /// Everything that happens once per distinct event timestamp after
     /// dispatch: the scheduling cycle, cycle tracing, state and timeline
     /// sampling, and invariants (debug asserts, or hard audit checks
-    /// under the `audit` feature). Shared verbatim between the
-    /// materialized and streaming loops.
+    /// under the `audit` feature).
     fn end_cycle(&mut self, t: SimTime, dispatched: u64) -> Result<(), SimError> {
         // Cycle span timing happens only when a sink is attached
         // *and* its timing knob is on — the untraced hot path never
@@ -1096,21 +1054,6 @@ impl<S: Scheduler> Engine<S> {
                     queue_depth,
                     free,
                     nanos,
-                });
-            }
-        }
-        if let Some(every) = self.sample_every {
-            let due = match self.last_sample {
-                None => true,
-                Some(prev) => t.saturating_since(prev) >= every,
-            };
-            if due {
-                self.last_sample = Some(t);
-                self.samples.push(StateSample {
-                    at: t,
-                    free: self.state.machine.free(),
-                    waiting: self.scheduler.waiting_len(),
-                    running: self.state.running.len(),
                 });
             }
         }
@@ -1162,20 +1105,13 @@ impl<S: Scheduler> Engine<S> {
             }
         }
         // Views are arrival-ordered, so the first *live* one past the
-        // cursor is the oldest waiting job. Dead (already-started) views
-        // are skipped the same way compaction classifies them.
+        // cursor is the oldest waiting job.
         let head = state.wait_head;
-        let mut oldest_wait_secs = 0u64;
-        for (v, &slot) in state.wait_views[head..]
+        let oldest_wait_secs = state.wait_views[head..]
             .iter()
             .zip(&state.wait_recs[head..])
-        {
-            let rec = &state.records[slot as usize];
-            if rec.state == JobState::Waiting && rec.spec.id == v.id {
-                oldest_wait_secs = at.saturating_since(v.submit).as_secs();
-                break;
-            }
-        }
+            .find(|&(_, &slot)| slot != STARTED)
+            .map_or(0, |(v, _)| at.saturating_since(v.submit).as_secs());
         let st = scheduler.stats();
         TimelineSample {
             at,
@@ -1191,8 +1127,7 @@ impl<S: Scheduler> Engine<S> {
             oldest_wait_secs,
             running: state.running.len() as u32,
             live_wait_views: (state.wait_views.len() - head) as u32,
-            event_queue_len: (state.queue.len() as u64).saturating_sub(state.preloaded_pending)
-                as u32,
+            event_queue_len: state.queue.len() as u32,
             eccs_applied: state.ecc_stats.applied(),
             reconfigs: state.reconfig.total(),
             dp_cache_hits: st.dp_cache_hits,
@@ -1221,8 +1156,8 @@ impl<S: Scheduler> Engine<S> {
         // One pass over the running set: processors held by dedicated
         // jobs, processors gained through expand-procs ECCs, and the
         // largest single allocation (the capacity lead blocker; ties
-        // break toward the lower id so both run paths agree regardless
-        // of running-set iteration order).
+        // break toward the lower id so the choice does not depend on
+        // running-set iteration order).
         let mut ded_procs = 0u32;
         let mut ecc_procs = 0u32;
         let mut mal_procs = 0u32;
@@ -1249,18 +1184,23 @@ impl<S: Scheduler> Engine<S> {
                 blocker_num = rj.num;
             }
         }
+        // One pass over dense, view-parallel arrays: no record is touched.
         let head = state.wait_head;
-        for (v, &slot) in state.wait_views[head..]
+        for ((v, &slot), ja) in state.wait_views[head..]
             .iter()
             .zip(&state.wait_recs[head..])
+            .zip(&mut attr.waiting[head..])
         {
-            let idx = slot as usize;
-            let rec = &state.records[idx];
-            if rec.state != JobState::Waiting || rec.spec.id != v.id {
+            if slot == STARTED {
                 continue; // dead view awaiting compaction
             }
-            let ja = &mut attr.jobs[idx];
-            ja.charge_until(t, rec.spec.eligible_at());
+            // The view carries the spec's submit and class, so this is
+            // `JobSpec::eligible_at`.
+            let eligible = v
+                .class
+                .requested_start()
+                .map_or(v.submit, |s| v.submit.max(s));
+            ja.charge_until(t, eligible);
             // Capacity-style causes outrank policy causes: a job that
             // does not fit was not schedulable no matter what the
             // policy decided this cycle. Among the policy causes, a
@@ -1452,8 +1392,7 @@ impl<S: Scheduler> Engine<S> {
             .iter()
             .zip(&self.state.wait_recs[head..])
         {
-            let rec = &self.state.records[slot as usize];
-            if rec.state != JobState::Waiting || rec.spec.id != v.id {
+            if slot == STARTED {
                 continue; // dead view awaiting compaction
             }
             if v.submit < prev {
@@ -1484,7 +1423,7 @@ impl<S: Scheduler> Engine<S> {
         let _ = self.state.machine.allocate(unit, now);
     }
 
-    /// Post-loop epilogue shared by both run paths: starvation check,
+    /// Post-loop epilogue: starvation check,
     /// queue counters, the timeline's forced final sample, metrics
     /// flush, and the [`SimResult`] itself.
     fn finish(
@@ -1621,7 +1560,6 @@ impl<S: Scheduler> Engine<S> {
             makespan: state.makespan,
             ecc: state.ecc_stats,
             reconfig: state.reconfig,
-            samples: self.samples,
             engine: engine_stats,
             trace: state.trace,
             timeline,
@@ -1631,31 +1569,18 @@ impl<S: Scheduler> Engine<S> {
 
     fn dispatch(&mut self, ev: Event, fold: &mut OutcomeFold<'_>) -> Result<(), SimError> {
         match ev {
-            Event::Arrival(id) => {
-                self.state.preloaded_pending -= 1;
-                self.handle_arrival(id)
-            }
             Event::Completion { job, epoch } => self.handle_completion(job, epoch, fold),
-            Event::Ecc(ecc) => {
-                self.state.preloaded_pending -= 1;
-                self.handle_ecc(ecc)
-            }
             Event::Wakeup => Ok(()),
         }
     }
 
-    fn handle_arrival(&mut self, id: JobId) -> Result<(), SimError> {
+    /// Queue the job just enrolled in record slot `idx`.
+    fn handle_arrival(&mut self, idx: usize) -> Result<(), SimError> {
         let now = self.state.now;
-        let &idx = self
-            .state
-            .id_map
-            .get(&id)
-            .expect("arrival for unknown job");
         let wait_pos = self.state.wait_views.len() as u32;
         let rec = &mut self.state.records[idx];
-        debug_assert_eq!(rec.state, JobState::Future, "double arrival");
-        rec.state = JobState::Waiting;
         rec.wait_pos = wait_pos;
+        let id = rec.spec.id;
         let view = JobView {
             id,
             num: rec.alloc,
@@ -1675,13 +1600,9 @@ impl<S: Scheduler> Engine<S> {
         self.state.wait_views.push(view);
         self.state.wait_recs.push(idx as u32);
         self.state.peak_wait_views = self.state.peak_wait_views.max(self.state.wait_views.len());
-        // Per-job attribution accumulator, slab-parallel to the record
-        // (and recycled with its slot on the streaming paths).
+        // Per-job attribution accumulator, parallel to the views.
         if let Some(attr) = self.state.attr.as_deref_mut() {
-            if attr.jobs.len() <= idx {
-                attr.jobs.resize(idx + 1, JobAttr::default());
-            }
-            attr.jobs[idx] = JobAttr::new(now);
+            attr.waiting.push(JobAttr::new(now));
         }
         trace_event!(
             self.state.trace.as_deref_mut(),
@@ -1728,16 +1649,13 @@ impl<S: Scheduler> Engine<S> {
         self.state.running.remove(id);
         self.push_outcome(idx, id, started, now, alloc, fold)?;
         self.scheduler.on_completion(id);
-        if self.state.reclaim {
-            // The job is fully accounted for; free its id and slot so a
-            // streaming run's footprint tracks live jobs only. Any
-            // not-yet-dispatched event naming this id (a stale
-            // completion, a late ECC) already falls through the
-            // unknown-id paths above and in `handle_ecc`.
-            self.state.id_map.remove(&id);
-            self.state.free_slots.push(idx);
-            self.reclaimed += 1;
-        }
+        // The job is fully accounted for; free its id and slot so the
+        // run's footprint tracks live jobs only. Any not-yet-dispatched
+        // event naming this id (a stale completion, a late ECC) falls
+        // through the unknown-id paths above and in `handle_ecc`.
+        self.state.id_map.remove(&id);
+        self.state.free_slots.push(idx);
+        self.reclaimed += 1;
         Ok(())
     }
 
@@ -1762,8 +1680,8 @@ impl<S: Scheduler> Engine<S> {
         // violation; otherwise a debug assert.
         let mut attribution = None;
         if let Some(attr) = self.state.attr.as_deref_mut() {
-            let ja = attr.jobs[idx];
-            let total = ja.attr.total_secs();
+            let wa = attr.started[idx];
+            let total = wa.total_secs();
             if total != wait.as_secs() {
                 #[cfg(feature = "audit")]
                 return Err(Self::audit_fail(
@@ -1782,8 +1700,8 @@ impl<S: Scheduler> Engine<S> {
                     id.0
                 );
             }
-            attr.profile.fold(&ja.attr);
-            attribution = Some(ja.attr);
+            attr.profile.fold(&wa);
+            attribution = Some(wa);
         }
         let outcome = JobOutcome {
             id,
@@ -1830,6 +1748,8 @@ impl<S: Scheduler> Engine<S> {
         let unit = self.state.machine.unit();
         let total = self.state.machine.total();
 
+        // An unknown id is a job that has not arrived or has completed
+        // and been reclaimed: the command has nothing to act on.
         let Some(rec) = self.state.record_mut(ecc.job) else {
             self.state.ecc_stats.dropped_stale += 1;
             return Ok(());
@@ -1847,8 +1767,7 @@ impl<S: Scheduler> Engine<S> {
             JobState::Running { started, finish } => {
                 self.apply_running_ecc(ecc, started, finish, now, unit)
             }
-            JobState::Future | JobState::Waiting => {
-                let was_waiting = rec.state == JobState::Waiting;
+            JobState::Waiting => {
                 let amount = Duration::from_secs(ecc.amount);
                 match ecc.kind {
                     EccKind::ExtendTime => {
@@ -1892,20 +1811,17 @@ impl<S: Scheduler> Engine<S> {
                         queued: true,
                     }
                 );
-                if was_waiting {
-                    // The record knows its view's position (maintained by
-                    // every compaction), so the in-place edit is O(1)
-                    // instead of a scan of the snapshot buffer — the scan
-                    // was quadratic over a long trace whose jobs mostly
-                    // wait.
-                    if let Some(v) = self.state.wait_views.get_mut(pos) {
-                        if v.id == id {
-                            v.num = num;
-                            v.dur = dur;
-                        }
+                // The record knows its view's position (maintained by every
+                // compaction), so the in-place edit is O(1) instead of a
+                // scan of the snapshot buffer — the scan was quadratic
+                // over a long trace whose jobs mostly wait.
+                if let Some(v) = self.state.wait_views.get_mut(pos) {
+                    if v.id == id {
+                        v.num = num;
+                        v.dur = dur;
                     }
-                    self.scheduler.on_queued_ecc(id, num, dur);
                 }
+                self.scheduler.on_queued_ecc(id, num, dur);
                 Ok(())
             }
         }
@@ -2489,13 +2405,12 @@ mod tests {
         #[test]
         fn streaming_reclaims_job_state() {
             // 1000 strictly sequential full-machine jobs: only one is
-            // ever live, so the record slab must stay tiny while the
-            // materialized path holds all 1000.
+            // ever live, so the record slab must stay tiny whether the
+            // jobs were loaded or streamed.
             let jobs: Vec<JobSpec> = (0..1000)
                 .map(|i| JobSpec::batch(i + 1, i * 100, 320, 50))
                 .collect();
             let mat = materialized(&jobs, &[]);
-            assert_eq!(mat.engine.peak_live_jobs, 1000);
             let engine = Engine::new(
                 Machine::bluegene_p(),
                 TestFifo::new(),
@@ -2503,11 +2418,14 @@ mod tests {
             );
             let st = engine.run_streaming(SliceSource::new(&jobs, &[])).unwrap();
             assert_eq!(st.outcomes, mat.outcomes);
-            assert!(
-                st.engine.peak_live_jobs <= 2,
-                "streaming slab grew to {} for sequential jobs",
-                st.engine.peak_live_jobs
-            );
+            for r in [&mat, &st] {
+                assert!(
+                    r.engine.peak_live_jobs <= 2,
+                    "record slab grew to {} for sequential jobs",
+                    r.engine.peak_live_jobs
+                );
+                assert_eq!(r.engine.jobs_reclaimed, 1000);
+            }
         }
 
         #[test]
@@ -2591,9 +2509,7 @@ mod tests {
             s.enable_timeline(cfg);
             let st = s.run_streaming(SliceSource::new(&jobs, &eccs)).unwrap();
             assert!(!mat.timeline.is_empty());
-            // Field-for-field identity, `event_queue_len` included: the
-            // sampler counts only reactive events, netting out the
-            // loader's pre-queued arrivals (see the sampler module docs).
+            // Field-for-field identity, `event_queue_len` included.
             assert_eq!(mat.timeline, st.timeline);
         }
 

@@ -29,21 +29,18 @@
 //! behind the `reference-kernels` feature, as a differential-testing
 //! oracle (see `tests/event_queue_differential.rs`).
 
-use crate::ecc::EccSpec;
 use crate::job::JobId;
 use crate::time::SimTime;
 
-/// What happened.
+/// What the run scheduled for itself. Arrivals and Elastic Control
+/// Commands never pass through the queue: the engine admits them straight
+/// from its [`JobSource`](crate::JobSource) when the clock reaches them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)] // field names are self-describing
 pub enum Event {
-    /// A job arrived (its submit time was reached).
-    Arrival(JobId),
     /// A running job reached its kill-by time. `epoch` invalidates
     /// completions that were rescheduled by an ECC.
     Completion { job: JobId, epoch: u64 },
-    /// An Elastic Control Command was issued.
-    Ecc(EccSpec),
     /// A scheduler wakeup with no state change of its own (used to force a
     /// scheduling cycle at a dedicated job's requested start time).
     Wakeup,
@@ -238,18 +235,16 @@ impl EventQueue {
             }
             d = d.saturating_add(1);
         }
-        // Sparse year: no event within one calendar revolution. Each
-        // bucket head is that bucket's minimum, so the global minimum is
-        // the least head.
-        let at = self
-            .buckets
-            .iter()
-            .filter(|&&(head, _)| head != NIL)
-            .map(|&(head, _)| self.slots[head as usize].at)
-            .min()
-            .expect("len > 0 but no bucket head");
-        self.day = at.0 >> self.shift;
-        Some(at)
+        // Sparse year: no event within one calendar revolution, so the
+        // width no longer matches the event spacing. A small population
+        // never trips the grow rebuild in `push`, so without re-tuning
+        // here a queue of a few completions would keep its initial 1 s
+        // width — and pay this full scan on every pop — for the whole
+        // run. The rebuild re-derives the width from the pending events
+        // and leaves `day` on the earliest one, the head of its bucket.
+        self.rebuild();
+        let (head, _) = self.buckets[(self.day & self.mask()) as usize];
+        Some(self.slots[head as usize].at)
     }
 
     /// Unlink and free the head slot of bucket `idx`, returning its event.
@@ -496,12 +491,19 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    fn job(id: u64) -> Event {
+        Event::Completion {
+            job: JobId(id),
+            epoch: 0,
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(t(30), Event::Wakeup);
-        q.push(t(10), Event::Arrival(JobId(1)));
-        q.push(t(20), Event::Arrival(JobId(2)));
+        q.push(t(10), job(1));
+        q.push(t(20), job(2));
         assert_eq!(q.pop().unwrap().0, t(10));
         assert_eq!(q.pop().unwrap().0, t(20));
         assert_eq!(q.pop().unwrap().0, t(30));
@@ -512,11 +514,11 @@ mod tests {
     fn same_time_is_fifo() {
         let mut q = EventQueue::new();
         for id in 0..100u64 {
-            q.push(t(5), Event::Arrival(JobId(id)));
+            q.push(t(5), job(id));
         }
         for id in 0..100u64 {
             match q.pop().unwrap().1 {
-                Event::Arrival(j) => assert_eq!(j, JobId(id)),
+                Event::Completion { job, .. } => assert_eq!(job, JobId(id)),
                 other => panic!("unexpected event {other:?}"),
             }
         }
@@ -551,7 +553,7 @@ mod tests {
         q.push(t(100), Event::Wakeup);
         assert_eq!(q.pop().unwrap().0, t(100));
         // The cursor sits at day 100; an earlier push must rewind it.
-        q.push(t(4), Event::Arrival(JobId(1)));
+        q.push(t(4), job(1));
         q.push(t(50), Event::Wakeup);
         assert_eq!(q.pop().unwrap().0, t(4));
         assert_eq!(q.pop().unwrap().0, t(50));
@@ -563,7 +565,7 @@ mod tests {
         // 4 × MIN_BUCKETS events force at least one grow rebuild.
         let times: Vec<u64> = (0..64).map(|i| (i * 37) % 97).collect();
         for (i, &s) in times.iter().enumerate() {
-            q.push(t(s), Event::Arrival(JobId(i as u64)));
+            q.push(t(s), job(i as u64));
         }
         let mut sorted = times.clone();
         sorted.sort_unstable();
@@ -577,13 +579,13 @@ mod tests {
     fn far_future_outlier_widens_calendar() {
         let mut q = EventQueue::new();
         for i in 0..40u64 {
-            q.push(t(i), Event::Arrival(JobId(i)));
+            q.push(t(i), job(i));
         }
         // An outlier ~10^9 seconds out forces a wide calendar on the next
         // rebuild; everything must still drain in order.
         q.push(t(1_000_000_000), Event::Wakeup);
         for i in 40..80u64 {
-            q.push(t(i), Event::Arrival(JobId(i)));
+            q.push(t(i), job(i));
         }
         let mut last = 0;
         while let Some((at, _)) = q.pop() {
@@ -597,7 +599,7 @@ mod tests {
     fn max_time_sentinel_is_popped_last() {
         let mut q = EventQueue::new();
         q.push(SimTime::MAX, Event::Wakeup);
-        q.push(t(1), Event::Arrival(JobId(1)));
+        q.push(t(1), job(1));
         assert_eq!(q.pop().unwrap().0, t(1));
         assert_eq!(q.pop().unwrap().0, SimTime::MAX);
     }
@@ -607,13 +609,13 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(t(9), Event::Wakeup);
         for id in 0..10u64 {
-            q.push(t(5), Event::Arrival(JobId(id)));
+            q.push(t(5), job(id));
         }
         let mut out = Vec::new();
         assert_eq!(q.drain_next_instant(&mut out), Some(t(5)));
         assert_eq!(out.len(), 10);
         for (i, ev) in out.iter().enumerate() {
-            assert_eq!(*ev, Event::Arrival(JobId(i as u64)));
+            assert_eq!(*ev, job(i as u64));
         }
         out.clear();
         assert_eq!(q.drain_next_instant(&mut out), Some(t(9)));
@@ -625,7 +627,7 @@ mod tests {
     fn shrink_after_heavy_drain_keeps_order() {
         let mut q = EventQueue::new();
         for i in 0..1000u64 {
-            q.push(t(i * 3), Event::Arrival(JobId(i)));
+            q.push(t(i * 3), job(i));
         }
         // Drain most of the population to force shrink rebuilds.
         for i in 0..995u64 {
@@ -635,6 +637,27 @@ mod tests {
         for i in 995..1000u64 {
             assert_eq!(q.pop().unwrap().0, t(i * 3));
         }
+    }
+
+    #[test]
+    fn sparse_small_queue_retunes_its_width() {
+        // 20 events 5,000 s apart: too few to trip the grow rebuild, so
+        // the calendar starts at the initial 1 s width, and the pop
+        // scan finds the 16-bucket year past the head empty. The first
+        // pop to cross that empty year must re-tune the width.
+        let mut q = EventQueue::new();
+        for i in 1..=20u64 {
+            q.push(t(i * 5_000), job(i));
+        }
+        assert_eq!(q.shift, 0);
+        assert_eq!(q.pop(), Some((t(5_000), job(1))));
+        assert_eq!(q.pop(), Some((t(10_000), job(2))));
+        assert!(q.shift > 0, "sparse queue kept a 1 s bucket width");
+        for i in 3..=20u64 {
+            assert_eq!(q.pop(), Some((t(i * 5_000), job(i))));
+            assert!(q.shift > 0);
+        }
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -664,8 +687,8 @@ mod tests {
         for i in 0..4000u64 {
             if pending == 0 || step() % 3 != 0 {
                 let at = t(step() % 500);
-                cal.push(at, Event::Arrival(JobId(i)));
-                heap.push(at, Event::Arrival(JobId(i)));
+                cal.push(at, job(i));
+                heap.push(at, job(i));
                 pending += 1;
             } else {
                 assert_eq!(cal.pop(), heap.pop());

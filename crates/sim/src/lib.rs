@@ -43,7 +43,7 @@ pub mod time;
 pub use attribution::{AttrNotes, AttributionProfile, BlockerShare, WaitAttribution, TOP_BLOCKERS};
 pub use contiguous::{ContigError, ContiguousMachine, Extent, ReplayEvent, ReplayStats};
 pub use ecc::{EccKind, EccPolicy, EccSpec};
-pub use engine::{simulate, EccStats, Engine, EngineStats, SimError, SimResult, StateSample};
+pub use engine::{simulate, EccStats, Engine, EngineStats, SimError, SimResult};
 pub use sampler::{
     RunTimeline, TimelineConfig, TimelineSample, TimelineSampler, DEFAULT_TIMELINE_BUDGET,
     DEFAULT_TIMELINE_STRIDE,

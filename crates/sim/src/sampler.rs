@@ -24,16 +24,9 @@
 //! # Determinism
 //!
 //! Samples are a pure function of engine state at cycle boundaries and
-//! the decimation schedule is a pure function of sample count, so the
-//! streamed and materialized paths — which execute identical cycles —
-//! produce **identical** timelines, field for field.
-//! [`TimelineSample::event_queue_len`] earns this by counting only
-//! *reactive* events (completions and wakeups): the materialized loader
-//! pre-queues every arrival while the streamed loop holds one item of
-//! source lookahead, so the raw queue population differs by load
-//! strategy even when the simulated run is the same. The engine tracks
-//! how many still-pending events came from `load` preloading and the
-//! sampler subtracts them, leaving the path-independent count.
+//! the decimation schedule is a pure function of sample count, so a
+//! loaded run and a streamed run of the same workload — which execute
+//! identical cycles — produce **identical** timelines, field for field.
 
 use crate::time::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -93,10 +86,8 @@ pub struct TimelineSample {
     /// plus not-yet-compacted dead ones) — the quantity
     /// [`crate::EngineStats::peak_wait_views`] tracks the peak of.
     pub live_wait_views: u32,
-    /// Pending *reactive* engine events: completions and scheduler
-    /// wakeups, excluding arrivals/ECCs pre-queued by a materialized
-    /// `load`. Identical between the materialized and streaming paths;
-    /// see the module docs.
+    /// Pending engine events: completions and scheduler wakeups
+    /// (arrivals and ECCs are admitted from the source, never queued).
     pub event_queue_len: u32,
     /// Cumulative ECCs applied so far.
     pub eccs_applied: u64,

@@ -1,33 +1,33 @@
 //! Pull-based workload streams.
 //!
 //! A [`JobSource`] feeds the engine one item at a time in submit-time
-//! order, so a run never has to materialize the whole trace: the engine
-//! admits each arrival lazily when the virtual clock reaches it and
-//! reclaims the job's state at completion, keeping peak memory
-//! proportional to the number of *live* jobs rather than the trace
-//! length. The materialized [`Engine::load`](crate::Engine::load) path
-//! is unchanged; streaming is a second front door over the same event
-//! loop with bit-identical semantics (see `Engine::run_streaming`).
+//! order, and it is the only way work enters a run: the engine admits
+//! each arrival when the virtual clock reaches it and reclaims the job's
+//! state at completion, keeping peak memory proportional to the number
+//! of *live* jobs rather than the trace length. A materialized workload
+//! goes the same way — [`Engine::load`](crate::Engine::load) validates
+//! and stages sorted copies, and [`Engine::run`](crate::Engine::run)
+//! streams them through a [`SliceSource`].
 //!
 //! ## Ordering contract
 //!
 //! Implementations must yield items in non-decreasing [`SourceItem::time`]
 //! order — the engine rejects a time that goes backwards with
 //! [`SimError::UnorderedSource`](crate::SimError::UnorderedSource). Two
-//! additional conventions make a streamed run indistinguishable from the
-//! materialized one:
+//! additional conventions make a streamed run indistinguishable from a
+//! loaded one:
 //!
-//! - at one instant, jobs are yielded before ECCs (the materialized
-//!   loader pushes every arrival before any ECC event);
+//! - at one instant, jobs are yielded before ECCs (so a command can
+//!   land on a job submitted at the same instant);
 //! - an ECC is yielded at or after its target job's submission (the
 //!   engine cannot apply a command to a job it has not seen; such a
-//!   command counts as `dropped_stale`, where the materialized path
-//!   would have pre-applied it to the future job).
+//!   command counts as `dropped_stale`, where `load` would have re-timed
+//!   it to the job's submission).
 //!
 //! Sources over concrete formats (SWF, CWF, the Lublin generator) live
 //! in `elastisched-workload`; this module only defines the contract plus
 //! [`SliceSource`], the borrowed merge of already-materialized slices
-//! that the differential tests pit against `load()`.
+//! that [`Engine::run`](crate::Engine::run) streams.
 
 use crate::ecc::EccSpec;
 use crate::job::JobSpec;
@@ -81,7 +81,7 @@ impl<T: JobSource + ?Sized> JobSource for &mut T {
 }
 
 /// Streams borrowed job/ECC slices, merged by time with jobs first at
-/// ties — exactly the order the materialized loader establishes.
+/// ties.
 ///
 /// Both slices must already be sorted by their own time field (generator
 /// output and parsed archive logs are); an inversion surfaces as
@@ -122,7 +122,7 @@ impl JobSource for SliceSource<'_> {
             }
             (Some(j), Some(e)) => {
                 // Jobs win ties so same-instant arrivals dispatch before
-                // same-instant commands, matching the load() order.
+                // same-instant commands.
                 if j.submit <= e.issue_at {
                     self.job_at += 1;
                     Some(SourceItem::Job(*j))

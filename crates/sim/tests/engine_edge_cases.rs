@@ -2,7 +2,7 @@
 
 use elastisched_sim::{
     simulate, Duration, EccKind, EccPolicy, EccSpec, JobId, JobSpec, JobView, Machine,
-    SchedContext, Scheduler, SimResult, SimTime,
+    SchedContext, Scheduler, SimError, SimResult, SimTime, TimelineConfig,
 };
 use std::collections::VecDeque;
 
@@ -87,8 +87,8 @@ fn multiple_ecc_reschedules_keep_single_completion() {
 #[test]
 fn ecc_before_arrival_applies_to_future_job() {
     // An ECC issued before the job's submit event (legal in a CWF file)
-    // lands on the record while it is `Future`; the job arrives with the
-    // adjusted duration.
+    // is re-timed by `load` to the submission, where it lands on the
+    // newly queued job before its first cycle.
     let jobs = vec![JobSpec::batch(1, 500, 320, 100)];
     let eccs = vec![EccSpec::extend_time(JobId(1), SimTime::from_secs(100), 50)];
     let r = run(&jobs, &eccs, EccPolicy::time_only());
@@ -282,17 +282,26 @@ fn sampling_records_state_series() {
         Fifo::default(),
         EccPolicy::disabled(),
     );
-    engine.enable_sampling(Duration::from_secs(200));
+    engine.enable_timeline(TimelineConfig {
+        stride: Duration::from_secs(200),
+        budget: 1024,
+    });
     engine.load(&jobs, &[]).unwrap();
     let r = engine.run().unwrap();
-    assert!(!r.samples.is_empty());
-    // Samples are at least the interval apart and time-ordered.
-    for w in r.samples.windows(2) {
+    let samples = &r.timeline.samples;
+    assert!(samples.len() > 2);
+    // Stride samples are at least the stride apart and time-ordered;
+    // the forced end-of-run sample closes the series at the makespan.
+    let (last, strided) = samples.split_last().unwrap();
+    for w in strided.windows(2) {
         assert!(w[1].at.saturating_since(w[0].at) >= Duration::from_secs(200));
     }
-    for s in &r.samples {
-        assert!(s.free <= 320);
-        assert_eq!(s.running + usize::from(s.free == 320), s.running + usize::from(s.free == 320));
+    assert_eq!(last.at, r.makespan);
+    // Every job holds the whole machine, so a sample sees either one
+    // running job and no free processor or an idle machine.
+    for s in samples {
+        assert!(s.running <= 1);
+        assert_eq!(s.free, 320 - 320 * s.running);
     }
     // Without sampling the series is empty.
     let r2 = simulate(
@@ -303,7 +312,88 @@ fn sampling_records_state_series() {
         &[],
     )
     .unwrap();
-    assert!(r2.samples.is_empty());
+    assert!(r2.timeline.is_empty());
+}
+
+#[test]
+fn load_rejects_id_reused_after_first_holder_completed() {
+    // A stream only sees live ids, but `load` holds the whole workload
+    // and rejects the reuse even though job 1 is long gone by t=100.
+    let jobs = vec![
+        JobSpec::batch(1, 0, 320, 10),
+        JobSpec::batch(1, 100, 320, 10),
+    ];
+    let err = simulate(
+        Machine::bluegene_p(),
+        Fifo::default(),
+        EccPolicy::disabled(),
+        &jobs,
+        &[],
+    )
+    .unwrap_err();
+    assert_eq!(err, SimError::DuplicateJobId(JobId(1)));
+}
+
+#[test]
+fn shuffled_job_slice_runs_like_the_sorted_one() {
+    // `load` sorts its copies by time, so slice order is irrelevant
+    // when instants are distinct. Compare every result field the run
+    // metrics derive from.
+    let jobs: Vec<JobSpec> = (0..60u64)
+        .map(|i| {
+            JobSpec::batch(
+                i + 1,
+                i * 37,
+                32 * (1 + (i as u32 * 7) % 10),
+                50 + i * 13 % 300,
+            )
+        })
+        .collect();
+    let eccs: Vec<EccSpec> = (0..20u64)
+        .map(|i| EccSpec::extend_time(JobId(3 * i + 1), SimTime::from_secs(i * 111 + 5), 30))
+        .collect();
+    let sorted = run(&jobs, &eccs, EccPolicy::time_only());
+    let mut shuffled_jobs = jobs.clone();
+    let mut shuffled_eccs = eccs.clone();
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    for i in (1..shuffled_jobs.len()).rev() {
+        shuffled_jobs.swap(i, next(i + 1));
+    }
+    for i in (1..shuffled_eccs.len()).rev() {
+        shuffled_eccs.swap(i, next(i + 1));
+    }
+    assert_ne!(shuffled_jobs, jobs);
+    let shuffled = run(&shuffled_jobs, &shuffled_eccs, EccPolicy::time_only());
+    assert_eq!(shuffled.outcomes, sorted.outcomes);
+    assert_eq!(shuffled.busy_area.to_bits(), sorted.busy_area.to_bits());
+    assert_eq!(shuffled.makespan, sorted.makespan);
+    assert_eq!(shuffled.first_arrival, sorted.first_arrival);
+    assert_eq!(shuffled.last_arrival, sorted.last_arrival);
+    assert_eq!(shuffled.ecc, sorted.ecc);
+    assert_eq!(shuffled.reconfig, sorted.reconfig);
+    assert_eq!(shuffled.engine.cycles, sorted.engine.cycles);
+}
+
+#[test]
+fn ecc_for_completed_job_at_its_cap_is_stale() {
+    // The completed job's record is reclaimed, so the late command
+    // finds nothing to act on: stale, whatever the job's ECC count.
+    let jobs = vec![JobSpec::batch(1, 0, 320, 100)];
+    let eccs = vec![
+        EccSpec::extend_time(JobId(1), SimTime::from_secs(10), 20),
+        EccSpec::extend_time(JobId(1), SimTime::from_secs(500), 20),
+    ];
+    let r = run(&jobs, &eccs, EccPolicy::time_only().max_per_job(1));
+    assert_eq!(finished(&r, 1), 120);
+    assert_eq!(r.ecc.applied_running, 1);
+    assert_eq!(r.ecc.dropped_stale, 1);
+    assert_eq!(r.ecc.dropped_policy, 0);
 }
 
 /// A scheduler that misbehaves: double-starts and references unknown

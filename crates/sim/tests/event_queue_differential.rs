@@ -6,10 +6,14 @@
 //! Both queues promise the same contract — pop in non-decreasing time
 //! order, FIFO within an instant — so any random interleaving of pushes,
 //! pops, and instant-drains must produce identical `(time, event)`
-//! sequences. The operation generator deliberately mixes same-instant
-//! bursts (many events at one time) with far-future outliers (times up
-//! to ~10^9 s) so the calendar is forced through grow/shrink rebuilds
-//! and sparse-year scans.
+//! sequences. The main operation generator deliberately mixes
+//! same-instant bursts (many events at one time) with far-future
+//! outliers (times up to ~10^9 s) so the calendar is forced through
+//! grow/shrink rebuilds and sparse-year scans. A second generator keeps
+//! the population small (well under the 33 events that trip a grow
+//! rebuild) and the spacing sparse (thousands of seconds): the shape of
+//! a queue holding only the completions of a few running jobs, where
+//! the width is re-tuned from the sparse-year scan instead.
 
 use elastisched_sim::event::{reference::HeapEventQueue, Event, EventQueue};
 use elastisched_sim::{JobId, SimTime};
@@ -28,6 +32,18 @@ enum Op {
     Drain,
 }
 
+/// Small population, sparse spacing: pushes 1,000–1,000,000 s out
+/// (plus the odd same-instant pair), removed faster than pushed so the
+/// population stays at a handful of events.
+fn arb_sparse_op() -> impl Strategy<Value = Op> {
+    (0u8..6, 1u64..1_000).prop_map(|(kind, t)| match kind {
+        0 => Op::Push(t * 1_000),
+        1 => Op::Burst(t * 1_000, 2),
+        2 | 3 => Op::Pop,
+        _ => Op::Drain,
+    })
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     (0u8..6, 0u64..1_000, 2u8..20).prop_map(|(kind, t, n)| match kind {
         0 => Op::Push(t),
@@ -40,6 +56,50 @@ fn arb_op() -> impl Strategy<Value = Op> {
     })
 }
 
+/// Replay `ops` against both queues: every pop, drain, and length must
+/// agree, and so must the full drain-down at the end.
+fn replay(ops: &[Op]) {
+    let mut cal = EventQueue::new();
+    let mut heap = HeapEventQueue::new();
+    let mut next_id = 0u64;
+    let mut push_both = |cal: &mut EventQueue, heap: &mut HeapEventQueue, secs: u64| {
+        let at = SimTime::from_secs(secs);
+        let ev = Event::Completion {
+            job: JobId(next_id),
+            epoch: 0,
+        };
+        next_id += 1;
+        cal.push(at, ev.clone());
+        heap.push(at, ev);
+    };
+    for op in ops {
+        match *op {
+            Op::Push(secs) => push_both(&mut cal, &mut heap, secs),
+            Op::Burst(secs, n) => {
+                for _ in 0..n {
+                    push_both(&mut cal, &mut heap, secs);
+                }
+            }
+            Op::Pop => {
+                prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                prop_assert_eq!(cal.pop(), heap.pop());
+            }
+            Op::Drain => {
+                let mut got = Vec::new();
+                let mut expect = Vec::new();
+                let at = cal.drain_next_instant(&mut got);
+                prop_assert_eq!(at, heap.drain_next_instant(&mut expect));
+                prop_assert_eq!(&got, &expect);
+            }
+        }
+        prop_assert_eq!(cal.len(), heap.len());
+    }
+    while let Some(expect) = heap.pop() {
+        prop_assert_eq!(cal.pop(), Some(expect));
+    }
+    prop_assert!(cal.is_empty());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -47,42 +107,15 @@ proptest! {
     /// reference heap emit identical (time, event) sequences.
     #[test]
     fn calendar_matches_reference_heap(ops in prop::collection::vec(arb_op(), 1..200)) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut next_id = 0u64;
-        let mut push_both = |cal: &mut EventQueue, heap: &mut HeapEventQueue, secs: u64| {
-            let at = SimTime::from_secs(secs);
-            let ev = Event::Arrival(JobId(next_id));
-            next_id += 1;
-            cal.push(at, ev.clone());
-            heap.push(at, ev);
-        };
-        for op in &ops {
-            match *op {
-                Op::Push(secs) => push_both(&mut cal, &mut heap, secs),
-                Op::Burst(secs, n) => {
-                    for _ in 0..n {
-                        push_both(&mut cal, &mut heap, secs);
-                    }
-                }
-                Op::Pop => {
-                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                    prop_assert_eq!(cal.pop(), heap.pop());
-                }
-                Op::Drain => {
-                    let mut got = Vec::new();
-                    let mut expect = Vec::new();
-                    let at = cal.drain_next_instant(&mut got);
-                    prop_assert_eq!(at, heap.drain_next_instant(&mut expect));
-                    prop_assert_eq!(&got, &expect);
-                }
-            }
-            prop_assert_eq!(cal.len(), heap.len());
-        }
-        // Full drain-down: every remaining event agrees.
-        while let Some(expect) = heap.pop() {
-            prop_assert_eq!(cal.pop(), Some(expect));
-        }
-        prop_assert!(cal.is_empty());
+        replay(&ops);
+    }
+
+    /// The same contract on a small, sparsely spaced population, where
+    /// the calendar re-tunes its width from the sparse-year scan.
+    #[test]
+    fn sparse_small_queue_matches_reference_heap(
+        ops in prop::collection::vec(arb_sparse_op(), 1..200)
+    ) {
+        replay(&ops);
     }
 }

@@ -1,5 +1,6 @@
 //! Deep-dive analysis of one schedule: per-class breakdowns, fairness,
-//! utilization timeline, Gantt chart, and queue-depth sampling.
+//! utilization timeline, Gantt chart, and the telemetry timeline's
+//! queue-depth track.
 //!
 //! Answers the questions the paper's aggregate metrics can't: *who* pays
 //! for a packing improvement (small vs large jobs), how bursty the
@@ -13,18 +14,16 @@ use elastisched::prelude::*;
 use elastisched_metrics::{
     breakdown, gantt, jain_fairness, occupancy, sparkline, utilization_profile, validate_schedule,
 };
-use elastisched_sim::Engine;
+use elastisched_sim::{TimelineConfig, DEFAULT_TIMELINE_BUDGET};
 
 fn analyze(algo: Algorithm, w: &Workload) {
-    let mut scheduler = algo.build(Default::default());
-    let mut engine = Engine::new(
-        Machine::bluegene_p(),
-        &mut scheduler,
-        algo.ecc_policy(),
-    );
-    engine.enable_sampling(Duration::from_secs(600));
-    engine.load(&w.jobs, &w.eccs).expect("valid workload");
-    let r = engine.run().expect("simulation completes");
+    let r = Experiment::new(algo)
+        .with_timeline(TimelineConfig {
+            stride: Duration::from_secs(600),
+            budget: DEFAULT_TIMELINE_BUDGET,
+        })
+        .run_raw(w)
+        .expect("simulation completes");
 
     println!("=== {} ===", algo.name());
     // Independent feasibility check.
@@ -60,10 +59,10 @@ fn analyze(algo: Algorithm, w: &Workload) {
     let profile = utilization_profile(&r.outcomes, 320, bucket);
     println!("utilization  {}", sparkline(&profile));
 
-    // Queue depth over time, from engine samples.
-    let max_wait = r.samples.iter().map(|s| s.waiting).max().unwrap_or(0);
-    let depth_profile: Vec<(u64, f64)> = r
-        .samples
+    // Queue depth over time, from the timeline samples.
+    let samples = &r.timeline.samples;
+    let max_wait = samples.iter().map(|s| s.queue_depth).max().unwrap_or(0);
+    let depth_profile: Vec<(u64, f64)> = samples
         .iter()
         .map(|s| {
             (
@@ -71,7 +70,7 @@ fn analyze(algo: Algorithm, w: &Workload) {
                 if max_wait == 0 {
                     0.0
                 } else {
-                    s.waiting as f64 / max_wait as f64
+                    f64::from(s.queue_depth) / f64::from(max_wait)
                 },
             )
         })

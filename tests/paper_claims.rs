@@ -2,7 +2,6 @@
 //! whole stack (workload generator → schedulers → engine → metrics).
 
 use elastisched::prelude::*;
-use elastisched_sched::SchedParams;
 
 fn batch_workload(ps: f64, load: f64, seed: u64, n: usize) -> Workload {
     let mut w = generate(&GeneratorConfig::paper_batch(ps).with_jobs(n).with_seed(seed));
@@ -21,16 +20,10 @@ fn het_workload(ps: f64, pd: f64, load: f64, seed: u64, n: usize) -> Workload {
 }
 
 fn run(algo: Algorithm, cs: u32, w: &Workload) -> RunMetrics {
-    Experiment {
-        algorithm: algo,
-        params: SchedParams::with_cs(cs),
-        machine: MachineSpec::BLUEGENE_P,
-        timeline: None,
-        attribution: false,
-        reconfig_cost: None,
-    }
-    .run(w)
-    .expect("simulation completes")
+    Experiment::new(algo)
+        .with_cs(cs)
+        .run(w)
+        .expect("simulation completes")
 }
 
 /// Figure 2 / §III-A: on the motivating example, Delayed-LOS achieves

@@ -3,7 +3,6 @@
 //! schedulers' contracts.
 
 use elastisched::prelude::*;
-use elastisched_sched::SchedParams;
 use proptest::prelude::*;
 
 /// Random job streams on the BlueGene/P machine (sizes are multiples of
@@ -80,14 +79,7 @@ proptest! {
     fn conservation_laws(jobs in arb_jobs(), algo_idx in 0usize..ALGOS.len()) {
         let algo = ALGOS[algo_idx];
         let w = Workload::from_jobs(jobs.clone());
-        let exp = Experiment {
-            algorithm: algo,
-            params: SchedParams::with_cs(3),
-            machine: MachineSpec::BLUEGENE_P,
-            timeline: None,
-            attribution: false,
-            reconfig_cost: None,
-        };
+        let exp = Experiment::new(algo).with_cs(3);
         let r = exp.run_raw(&w).expect("simulation completes");
         prop_assert_eq!(r.outcomes.len(), jobs.len());
         // Each job completed exactly once.
