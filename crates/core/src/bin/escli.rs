@@ -32,7 +32,56 @@
 use elastisched::prelude::*;
 use elastisched_sched::SchedParams;
 use elastisched_workload::cwf::CwfFile;
+use std::io::{self, Write};
 use std::process::ExitCode;
+
+/// Why a subcommand stopped before finishing.
+enum CliError {
+    /// Standard output was closed (e.g. `escli … | head`): nothing more
+    /// can be shown, so the command ends quietly and successfully.
+    OutputClosed,
+    /// A failure reported on standard error.
+    Msg(String),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Msg(e)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> Self {
+        CliError::Msg(e.to_string())
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            CliError::OutputClosed
+        } else {
+            CliError::Msg(format!("writing standard output: {e}"))
+        }
+    }
+}
+
+type CliResult = Result<(), CliError>;
+
+/// `print!` that returns a closed or failing stdout as a [`CliError`]
+/// instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(io::stdout(), $($arg)*)?
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*)?
+    };
+}
 
 fn usage() -> &'static str {
     "escli — elastic heterogeneous job-scheduling simulator
@@ -141,7 +190,7 @@ fn load_trace(path: &str) -> Result<Workload, String> {
     Ok(cwf.to_workload())
 }
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
+fn cmd_generate(args: &Args) -> CliResult {
     let out = args.get("out").ok_or("--out is required")?;
     let jobs: usize = args.get_parsed("jobs", 500)?;
     let ps: f64 = args.get_parsed("ps", 0.5)?;
@@ -162,7 +211,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     }
     let file = CwfFile::from_workload(&w);
     std::fs::write(out, file.to_text()).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
+    outln!(
         "wrote {out}: {} jobs ({} dedicated, {} malleable), {} ECCs, offered load {:.3}",
         w.len(),
         w.dedicated_count(),
@@ -173,8 +222,8 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn print_metrics(m: &RunMetrics) {
-    println!(
+fn print_metrics(m: &RunMetrics) -> CliResult {
+    outln!(
         "{:<14} util {:>7.4}  wait {:>9.1}s  slowdown {:>7.3}  jobs {:>5}  ded-delay {:>8.1}s  eccs {}",
         m.scheduler,
         m.utilization,
@@ -185,7 +234,7 @@ fn print_metrics(m: &RunMetrics) {
         m.eccs_applied
     );
     if m.dp_cache_hits + m.dp_cache_misses > 0 {
-        println!(
+        outln!(
             "{:<14} dp solves {} ({} cached), dp time {:.3}ms",
             "",
             m.dp_cache_hits + m.dp_cache_misses,
@@ -193,9 +242,10 @@ fn print_metrics(m: &RunMetrics) {
             m.dp_nanos as f64 / 1e6
         );
     }
+    Ok(())
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
+fn cmd_run(args: &Args) -> CliResult {
     let trace = args.get("trace").ok_or("--trace is required")?;
     let name = args.get("algo").ok_or("--algo is required")?;
     let cs: u32 = args.get_parsed("cs", 7)?;
@@ -209,10 +259,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         ..Experiment::new(parse_spec(name)?)
     };
     let m = exp.run(&w).map_err(|e| e.to_string())?;
-    print_metrics(&m);
+    print_metrics(&m)?;
     if attribution {
-        println!("wait attribution:");
-        print!("{}", elastisched::render_attribution(&m.attribution));
+        outln!("wait attribution:");
+        out!("{}", elastisched::render_attribution(&m.attribution));
     }
     Ok(())
 }
@@ -230,9 +280,9 @@ fn parse_spec(name: &str) -> Result<StackSpec, String> {
     }
 }
 
-fn cmd_diff(args: &Args) -> Result<(), String> {
+fn cmd_diff(args: &Args) -> CliResult {
     let [a, b] = args.pos.as_slice() else {
-        return Err("diff needs exactly two algorithms: escli diff <algo-a> <algo-b>".to_string());
+        return Err("diff needs exactly two algorithms: escli diff <algo-a> <algo-b>".into());
     };
     let cs: u32 = args.get_parsed("cs", 7)?;
     let machine = parse_machine(args)?;
@@ -262,11 +312,11 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
     };
     let d = elastisched::diff_runs(&mk(parse_spec(a)?), &mk(parse_spec(b)?), &w)
         .map_err(|e| e.to_string())?;
-    print!("{}", elastisched::render_diff(&d));
+    out!("{}", elastisched::render_diff(&d));
     Ok(())
 }
 
-fn cmd_compare(args: &Args) -> Result<(), String> {
+fn cmd_compare(args: &Args) -> CliResult {
     let trace = args.get("trace").ok_or("--trace is required")?;
     let cs: u32 = args.get_parsed("cs", 7)?;
     let machine = parse_machine(args)?;
@@ -284,7 +334,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
             }
         }
     };
-    println!(
+    outln!(
         "trace: {} jobs ({} dedicated), {} ECCs, load {:.3}",
         w.len(),
         w.dedicated_count(),
@@ -296,12 +346,12 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         exp.run(&w).map_err(|e| e.to_string())
     });
     for r in results {
-        print_metrics(&r?);
+        print_metrics(&r?)?;
     }
     Ok(())
 }
 
-fn cmd_gantt(args: &Args) -> Result<(), String> {
+fn cmd_gantt(args: &Args) -> CliResult {
     let trace = args.get("trace").ok_or("--trace is required")?;
     let algo: Algorithm = args
         .get("algo")
@@ -315,14 +365,14 @@ fn cmd_gantt(args: &Args) -> Result<(), String> {
     let w = load_trace(trace)?;
     let exp = Experiment::new(algo).with_cs(cs).on_machine(machine);
     let r = exp.run_raw(&w).map_err(|e| e.to_string())?;
-    println!("{}", elastisched_metrics::gantt(&r.outcomes, width, rows));
+    outln!("{}", elastisched_metrics::gantt(&r.outcomes, width, rows));
     let profile = elastisched_metrics::utilization_profile(
         &r.outcomes,
         machine.total,
         (r.makespan.as_secs() / width.max(1) as u64).max(1),
     );
-    println!("utilization {}", elastisched_metrics::sparkline(&profile));
-    println!(
+    outln!("utilization {}", elastisched_metrics::sparkline(&profile));
+    outln!(
         "mean utilization {:.4} over makespan {}s ('·' waiting, '=' batch, '#' dedicated)",
         r.mean_utilization(),
         r.makespan.as_secs()
@@ -330,14 +380,14 @@ fn cmd_gantt(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_timeline(args: &Args) -> Result<(), String> {
+fn cmd_timeline(args: &Args) -> CliResult {
     let trace = args.get("trace").ok_or("--trace is required")?;
     let name = args.get("algo").ok_or("--algo is required")?;
     let cs: u32 = args.get_parsed("cs", 7)?;
     let stride: u64 = args.get_parsed("stride", 1)?;
     let budget: u32 = args.get_parsed("budget", elastisched_sim::DEFAULT_TIMELINE_BUDGET)?;
     if stride == 0 {
-        return Err("--stride must be at least 1 second".to_string());
+        return Err("--stride must be at least 1 second".into());
     }
     let machine = parse_machine(args)?;
     let w = load_trace(trace)?;
@@ -350,18 +400,18 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         .on_machine(machine)
         .with_timeline(cfg);
     let r = exp.run_raw(&w).map_err(|e| e.to_string())?;
-    print!("{}", elastisched::render_timeline(&r.timeline));
+    out!("{}", elastisched::render_timeline(&r.timeline));
     if let Some(path) = args.get("jsonl") {
         std::fs::write(path, r.timeline.to_jsonl())
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
+        outln!(
             "wrote JSONL timeline ({} samples) to {path}",
             r.timeline.samples.len()
         );
     }
     if let Some(path) = args.get("csv") {
         std::fs::write(path, r.timeline.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
+        outln!(
             "wrote CSV timeline ({} samples) to {path}",
             r.timeline.samples.len()
         );
@@ -369,11 +419,11 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_explain(args: &Args) -> Result<(), String> {
+fn cmd_explain(args: &Args) -> CliResult {
     if let Some(path) = args.get("postmortem") {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        print!("{}", elastisched::explain_postmortem(&text)?);
+        out!("{}", elastisched::explain_postmortem(&text)?);
         return Ok(());
     }
     let trace = args.get("trace").ok_or("--trace is required")?;
@@ -393,7 +443,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
             .iter()
             .find(|o| o.id.0 == job)
             .ok_or_else(|| format!("job {job} did not complete in this run"))?;
-        print!("{}", elastisched::render_wait_breakdown(o));
+        out!("{}", elastisched::render_wait_breakdown(o));
         return Ok(());
     }
     let job: u64 = args
@@ -407,29 +457,30 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let sink = r.trace.as_deref().expect("tracing was enabled");
     match elastisched::explain_job(sink, job) {
-        Some(text) => print!("{text}"),
+        Some(text) => out!("{text}"),
         None => {
             return Err(format!(
                 "job {job} does not appear in the trace ({} events held, {} dropped)",
                 sink.len(),
                 sink.dropped()
-            ))
+            )
+            .into())
         }
     }
     if let Some(path) = args.get("jsonl") {
         let text = elastisched_trace::to_jsonl(sink.events());
         std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote JSONL trace ({} events) to {path}", sink.len());
+        outln!("wrote JSONL trace ({} events) to {path}", sink.len());
     }
     if let Some(path) = args.get("chrome") {
         let text = elastisched_trace::to_chrome_trace(sink.events());
         std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote Chrome trace to {path} (open in ui.perfetto.dev)");
+        outln!("wrote Chrome trace to {path} (open in ui.perfetto.dev)");
     }
     Ok(())
 }
 
-fn cmd_tune(args: &Args) -> Result<(), String> {
+fn cmd_tune(args: &Args) -> CliResult {
     let ps: f64 = args.get_parsed("ps", 0.5)?;
     let load: f64 = args.get_parsed("load", 0.9)?;
     let jobs: usize = args.get_parsed("jobs", 400)?;
@@ -451,42 +502,42 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
         reps,
         seed,
     );
-    println!(
+    outln!(
         "tuning C_s for Delayed-LOS (P_S={ps}, load={load}, {jobs} jobs × {reps} seeds):"
     );
-    println!("{:>5} {:>12} {:>14}", "C_s", "utilization", "mean wait (s)");
+    outln!("{:>5} {:>12} {:>14}", "C_s", "utilization", "mean wait (s)");
     for c in &tuning.candidates {
         let marker = if c.cs == tuning.best { "  ← best" } else { "" };
-        println!("{:>5} {:>12.4} {:>14.1}{marker}", c.cs, c.utilization, c.mean_wait);
+        outln!("{:>5} {:>12.4} {:>14.1}{marker}", c.cs, c.utilization, c.mean_wait);
     }
     Ok(())
 }
 
-fn cmd_info(args: &Args) -> Result<(), String> {
+fn cmd_info(args: &Args) -> CliResult {
     let trace = args.get("trace").ok_or("--trace is required")?;
     let w = load_trace(trace)?;
-    println!("jobs:            {}", w.len());
-    println!("dedicated:       {}", w.dedicated_count());
-    println!("eccs:            {}", w.eccs.len());
-    println!("mean size:       {:.1} procs", w.mean_size());
-    println!("mean runtime:    {:.1} s", w.mean_runtime());
-    println!("offered load:    {:.3} (on 320 procs)", w.offered_load(320));
+    outln!("jobs:            {}", w.len());
+    outln!("dedicated:       {}", w.dedicated_count());
+    outln!("eccs:            {}", w.eccs.len());
+    outln!("mean size:       {:.1} procs", w.mean_size());
+    outln!("mean runtime:    {:.1} s", w.mean_runtime());
+    outln!("offered load:    {:.3} (on 320 procs)", w.offered_load(320));
     if let (Some(first), Some(last)) = (w.jobs.first(), w.jobs.last()) {
-        println!(
+        outln!(
             "arrival span:    {} .. {} s",
             first.submit.as_secs(),
             last.submit.as_secs()
         );
     }
-    println!();
-    print!(
+    outln!();
+    out!(
         "{}",
         elastisched_workload::characterization_to_text(&elastisched_workload::characterize(&w))
     );
     Ok(())
 }
 
-fn cmd_top(args: &Args) -> Result<(), String> {
+fn cmd_top(args: &Args) -> CliResult {
     let addr = args
         .get("addr")
         .ok_or("--addr is required (host:port of a process started with --serve-metrics)")?;
@@ -497,20 +548,20 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     )
     .map_err(|e| format!("cannot reach {addr}: {e}"))?;
     if code != 200 {
-        return Err(format!("{addr} returned HTTP {code} for /status"));
+        return Err(format!("{addr} returned HTTP {code} for /status").into());
     }
     let doc = elastisched_sim::StatusDoc::parse(&body)?;
-    print!("{}", elastisched::telemetry::render_status(&doc));
+    out!("{}", elastisched::telemetry::render_status(&doc));
     Ok(())
 }
 
-fn cmd_algorithms() {
-    println!(
+fn cmd_algorithms() -> CliResult {
+    outln!(
         "{:<18} {:<18} {:<15} ECC Processor",
         "Algorithm", "Stack spec", "Workload"
     );
     for a in Algorithm::ALL {
-        println!(
+        outln!(
             "{:<18} {:<18} {:<15} {}",
             a.name(),
             a.stack_spec().to_string(),
@@ -522,8 +573,9 @@ fn cmd_algorithms() {
             if a.elastic() { "Yes" } else { "No" }
         );
     }
-    println!("\n`run --algo` also accepts any stack spec <core>[+d][+m][+e]");
-    println!("(`+m` = scheduler-initiated malleability over proc-range jobs).");
+    outln!("\n`run --algo` also accepts any stack spec <core>[+d][+m][+e]");
+    outln!("(`+m` = scheduler-initiated malleability over proc-range jobs).");
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -556,15 +608,12 @@ fn main() -> ExitCode {
         "timeline" => cmd_timeline(&args),
         "explain" => cmd_explain(&args),
         "top" => cmd_top(&args),
-        "algorithms" => {
-            cmd_algorithms();
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand {other:?}\n\n{}", usage())),
+        "algorithms" => cmd_algorithms(),
+        "help" | "--help" | "-h" => writeln!(io::stdout(), "{}", usage()).map_err(CliError::from),
+        other => Err(CliError::Msg(format!(
+            "unknown subcommand {other:?}\n\n{}",
+            usage()
+        ))),
     };
     if telemetry_requested {
         if let Some(table) = elastisched::telemetry::cost_table() {
@@ -572,8 +621,8 @@ fn main() -> ExitCode {
         }
     }
     match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Ok(()) | Err(CliError::OutputClosed) => ExitCode::SUCCESS,
+        Err(CliError::Msg(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }

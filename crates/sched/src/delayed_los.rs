@@ -76,17 +76,11 @@ pub(crate) fn delayed_los_cycle(
             // positions are staged alongside the candidates so chosen
             // jobs are removed by index instead of an O(Q) id scan.
             work.clear_candidates();
-            for (pos, w) in queue.iter().enumerate() {
-                if w.view.num > free {
-                    continue;
-                }
+            queue.fitting(0, free, lookahead, |pos, w| {
                 work.ids.push(w.view.id);
                 work.sizes.push(w.view.num);
                 work.positions.push(pos as u32);
-                if work.ids.len() == lookahead {
-                    break;
-                }
-            }
+            });
             let tracing = ctx.trace().is_some();
             let hits_before = work.solver.stats().cache_hits;
             let candidates = work.ids.len() as u32;
@@ -149,20 +143,14 @@ pub(crate) fn delayed_los_cycle(
             notes.note_freeze();
         }
         work.clear_candidates();
-        for (pos, w) in queue.iter().enumerate().skip(1) {
-            if w.view.num > free {
-                continue;
-            }
+        queue.fitting(1, free, lookahead, |pos, w| {
             work.ids.push(w.view.id);
             work.items.push(DpItem {
                 num: w.view.num,
                 extends: freeze.extends(now, w.view.dur),
             });
             work.positions.push(pos as u32);
-            if work.ids.len() == lookahead {
-                break;
-            }
-        }
+        });
         let tracing = ctx.trace().is_some();
         let hits_before = work.solver.stats().cache_hits;
         let candidates = work.ids.len() as u32;
@@ -280,20 +268,14 @@ impl BatchPolicy for DelayedLosCore {
         }
         let head_id = queue.head().expect("batch non-empty").view.id;
         shared.work.clear_candidates();
-        for (pos, w) in queue.iter().enumerate() {
-            if w.view.num > free {
-                continue;
-            }
+        queue.fitting(0, free, self.lookahead, |pos, w| {
             shared.work.ids.push(w.view.id);
             shared.work.items.push(DpItem {
                 num: w.view.num,
                 extends: freeze.extends(now, w.view.dur),
             });
             shared.work.positions.push(pos as u32);
-            if shared.work.ids.len() == self.lookahead {
-                break;
-            }
-        }
+        });
         let tracing = ctx.trace().is_some();
         let hits_before = shared.work.solver.stats().cache_hits;
         let candidates = shared.work.ids.len() as u32;

@@ -11,7 +11,7 @@
 //! dedicated-freeze constraint.
 
 use crate::freeze::{batch_head_freeze, Freeze};
-use crate::queue::BatchQueue;
+use crate::queue::{Backfill, BatchQueue};
 use crate::stack::{ded_allows, ded_commit, BatchOnly, BatchPolicy, PolicyShared, PolicyStack};
 use elastisched_sim::{trace_event, SchedContext, TraceEvent};
 
@@ -46,35 +46,27 @@ pub(crate) fn easy_cycle(
     if let Some(notes) = ctx.attribution() {
         notes.note_freeze();
     }
-    let mut extra = shadow.frec;
-    // Phase 3: aggressive backfill in FIFO order. A cursor walk starts
-    // jobs in place — removal at the cursor keeps FIFO order and avoids
-    // collecting candidates into a per-cycle vector.
-    let mut i = 1;
-    while let Some(w) = queue.get(i) {
-        let (id, num, dur) = (w.view.id, w.view.num, w.view.dur);
-        let delays_head = shadow.extends(now, dur);
-        let can_start = num <= ctx.free()
-            && (!delays_head || num <= extra)
-            && ded_allows(&ded, now, num, dur);
-        if !can_start {
-            i += 1;
-            continue;
-        }
+    // Phase 3: aggressive backfill in FIFO order. The pass carries the
+    // free processors, the shadow's extra capacity and the dedicated
+    // freeze as locals; the queue walk skips every chunk of jobs none
+    // of which could start under them.
+    let mut pass = Backfill {
+        now,
+        free: ctx.free(),
+        shadow,
+        ded,
+    };
+    queue.backfill(&mut pass, |w| {
         trace_event!(
             ctx.trace(),
             TraceEvent::Backfill {
-                job: id.0,
+                job: w.view.id.0,
                 at: now.as_secs(),
             }
         );
-        ctx.start(id).expect("backfill fit was checked");
-        queue.remove_at(i);
-        if delays_head {
-            extra -= num;
-        }
-        ded_commit(&mut ded, now, num, dur);
-    }
+        ctx.start(w.view.id).expect("backfill fit was checked");
+    });
+    debug_assert_eq!(pass.free, ctx.free(), "a start took other than its num");
 }
 
 /// The EASY policy core: aggressive backfilling around the head's

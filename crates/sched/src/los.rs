@@ -59,18 +59,14 @@ pub(crate) fn los_cycle(
     }
     let free = ctx.free();
     work.clear_candidates();
-    for w in queue
-        .iter()
-        .skip(usize::from(skip_head))
-        .filter(|w| w.view.num <= free)
-        .take(lookahead)
-    {
+    queue.fitting(usize::from(skip_head), free, lookahead, |pos, w| {
         work.ids.push(w.view.id);
         work.items.push(DpItem {
             num: w.view.num,
             extends: freeze.extends(now, w.view.dur),
         });
-    }
+        work.positions.push(pos as u32);
+    });
     let tracing = ctx.trace().is_some();
     let hits_before = work.solver.stats().cache_hits;
     let candidates = work.ids.len() as u32;
@@ -80,9 +76,12 @@ pub(crate) fn los_cycle(
         chosen_trace.extend(sel.chosen.iter().map(|&i| work.ids[i].0));
     }
     for &i in &sel.chosen {
-        let id = work.ids[i];
-        ctx.start(id).expect("DP selection fits");
-        queue.remove(id);
+        ctx.start(work.ids[i]).expect("DP selection fits");
+    }
+    // Chosen indices ascend, so staged positions do too: remove
+    // back-to-front so earlier positions stay valid.
+    for &i in sel.chosen.iter().rev() {
+        queue.remove_at(work.positions[i] as usize);
     }
     if tracing {
         let cache_hit = work.solver.stats().cache_hits > hits_before;
