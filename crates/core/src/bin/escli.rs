@@ -169,19 +169,57 @@ impl Args {
     }
 }
 
-fn parse_machine(args: &Args) -> Result<MachineSpec, String> {
-    match args.get("machine") {
-        None => Ok(MachineSpec::BLUEGENE_P),
-        Some(spec) => {
-            let (m, u) = spec
-                .split_once(':')
-                .ok_or_else(|| format!("--machine must be TOTAL:UNIT, got {spec:?}"))?;
-            Ok(MachineSpec {
-                total: m.parse().map_err(|_| "bad machine total".to_string())?,
-                unit: u.parse().map_err(|_| "bad machine unit".to_string())?,
-            })
+/// The workload and machine flags, range-checked in one place for every
+/// subcommand that takes them, so a bad value is an error and never a
+/// panic deeper down.
+struct Inputs {
+    /// `--ps`, `--pd`, `--pm`: probabilities in [0, 1].
+    ps: f64,
+    pd: f64,
+    pm: f64,
+    /// `--load`: positive and finite, when given.
+    load: Option<f64>,
+    /// `--machine TOTAL:UNIT`: a positive multiple of a positive unit.
+    machine: MachineSpec,
+}
+
+fn inputs(args: &Args) -> Result<Inputs, String> {
+    let probability = |name: &str, default: f64| -> Result<f64, String> {
+        let p: f64 = args.get_parsed(name, default)?;
+        if (0.0..=1.0).contains(&p) {
+            Ok(p)
+        } else {
+            Err(format!("--{name} must be a probability in [0, 1], got {p}"))
         }
-    }
+    };
+    let load = match args.get("load") {
+        None => None,
+        Some(v) => match v.parse::<f64>() {
+            Ok(l) if l > 0.0 && l.is_finite() => Some(l),
+            _ => return Err(format!("--load must be positive and finite, got {v:?}")),
+        },
+    };
+    let machine = match args.get("machine") {
+        None => MachineSpec::BLUEGENE_P,
+        Some(spec) => {
+            let bad =
+                || format!("--machine must be TOTAL:UNIT, UNIT > 0 dividing TOTAL > 0: {spec:?}");
+            let (m, u) = spec.split_once(':').ok_or_else(bad)?;
+            let (total, unit): (u32, u32) =
+                (m.parse().map_err(|_| bad())?, u.parse().map_err(|_| bad())?);
+            if total == 0 || unit == 0 || total % unit != 0 {
+                return Err(bad());
+            }
+            MachineSpec { total, unit }
+        }
+    };
+    Ok(Inputs {
+        ps: probability("ps", 0.5)?,
+        pd: probability("pd", 0.0)?,
+        pm: probability("pm", 0.0)?,
+        load,
+        machine,
+    })
 }
 
 fn load_trace(path: &str) -> Result<Workload, String> {
@@ -193,20 +231,17 @@ fn load_trace(path: &str) -> Result<Workload, String> {
 fn cmd_generate(args: &Args) -> CliResult {
     let out = args.get("out").ok_or("--out is required")?;
     let jobs: usize = args.get_parsed("jobs", 500)?;
-    let ps: f64 = args.get_parsed("ps", 0.5)?;
-    let pd: f64 = args.get_parsed("pd", 0.0)?;
-    let pm: f64 = args.get_parsed("pm", 0.0)?;
+    let inp = inputs(args)?;
     let seed: u64 = args.get_parsed("seed", 42)?;
-    let mut cfg = GeneratorConfig::paper_heterogeneous(ps, pd)
+    let mut cfg = GeneratorConfig::paper_heterogeneous(inp.ps, inp.pd)
         .with_jobs(jobs)
         .with_seed(seed)
-        .with_malleable(pm);
+        .with_malleable(inp.pm);
     if args.has("eccs") {
         cfg = cfg.with_paper_eccs();
     }
     let mut w = generate(&cfg);
-    if let Some(load) = args.get("load") {
-        let load: f64 = load.parse().map_err(|_| "bad --load")?;
+    if let Some(load) = inp.load {
         w.scale_to_load(320, load);
     }
     let file = CwfFile::from_workload(&w);
@@ -249,7 +284,7 @@ fn cmd_run(args: &Args) -> CliResult {
     let trace = args.get("trace").ok_or("--trace is required")?;
     let name = args.get("algo").ok_or("--algo is required")?;
     let cs: u32 = args.get_parsed("cs", 7)?;
-    let machine = parse_machine(args)?;
+    let machine = inputs(args)?.machine;
     let w = load_trace(trace)?;
     let attribution = args.has("attribution");
     let exp = Experiment {
@@ -285,7 +320,8 @@ fn cmd_diff(args: &Args) -> CliResult {
         return Err("diff needs exactly two algorithms: escli diff <algo-a> <algo-b>".into());
     };
     let cs: u32 = args.get_parsed("cs", 7)?;
-    let machine = parse_machine(args)?;
+    let inp = inputs(args)?;
+    let machine = inp.machine;
     let params = SchedParams::with_cs(cs);
     let w = match args.get("trace") {
         Some(path) => load_trace(path)?,
@@ -293,10 +329,8 @@ fn cmd_diff(args: &Args) -> CliResult {
             // No trace: generate the headline workload with the same
             // defaults as `escli generate`.
             let jobs: usize = args.get_parsed("jobs", 500)?;
-            let ps: f64 = args.get_parsed("ps", 0.5)?;
-            let pd: f64 = args.get_parsed("pd", 0.0)?;
             let seed: u64 = args.get_parsed("seed", 42)?;
-            let mut cfg = GeneratorConfig::paper_heterogeneous(ps, pd)
+            let mut cfg = GeneratorConfig::paper_heterogeneous(inp.ps, inp.pd)
                 .with_jobs(jobs)
                 .with_seed(seed);
             if args.has("eccs") {
@@ -319,7 +353,7 @@ fn cmd_diff(args: &Args) -> CliResult {
 fn cmd_compare(args: &Args) -> CliResult {
     let trace = args.get("trace").ok_or("--trace is required")?;
     let cs: u32 = args.get_parsed("cs", 7)?;
-    let machine = parse_machine(args)?;
+    let machine = inputs(args)?.machine;
     let w = load_trace(trace)?;
     let algos: Vec<Algorithm> = match args.get("algos") {
         Some(list) => list
@@ -361,7 +395,7 @@ fn cmd_gantt(args: &Args) -> CliResult {
     let cs: u32 = args.get_parsed("cs", 7)?;
     let width: usize = args.get_parsed("width", 100)?;
     let rows: usize = args.get_parsed("rows", 40)?;
-    let machine = parse_machine(args)?;
+    let machine = inputs(args)?.machine;
     let w = load_trace(trace)?;
     let exp = Experiment::new(algo).with_cs(cs).on_machine(machine);
     let r = exp.run_raw(&w).map_err(|e| e.to_string())?;
@@ -389,7 +423,7 @@ fn cmd_timeline(args: &Args) -> CliResult {
     if stride == 0 {
         return Err("--stride must be at least 1 second".into());
     }
-    let machine = parse_machine(args)?;
+    let machine = inputs(args)?.machine;
     let w = load_trace(trace)?;
     let cfg = elastisched_sim::TimelineConfig {
         stride: Duration::from_secs(stride),
@@ -429,7 +463,7 @@ fn cmd_explain(args: &Args) -> CliResult {
     let trace = args.get("trace").ok_or("--trace is required")?;
     let spec = parse_spec(args.get("algo").ok_or("--algo is required")?)?;
     let cs: u32 = args.get_parsed("cs", 7)?;
-    let machine = parse_machine(args)?;
+    let machine = inputs(args)?.machine;
     let w = load_trace(trace)?;
     if let Some(id) = args.get("why-wait") {
         let job: u64 = id.parse().map_err(|_| "bad --why-wait id".to_string())?;
@@ -481,8 +515,8 @@ fn cmd_explain(args: &Args) -> CliResult {
 }
 
 fn cmd_tune(args: &Args) -> CliResult {
-    let ps: f64 = args.get_parsed("ps", 0.5)?;
-    let load: f64 = args.get_parsed("load", 0.9)?;
+    let inp = inputs(args)?;
+    let (ps, load) = (inp.ps, inp.load.unwrap_or(0.9));
     let jobs: usize = args.get_parsed("jobs", 400)?;
     let reps: usize = args.get_parsed("reps", 2)?;
     let seed: u64 = args.get_parsed("seed", 42)?;

@@ -47,7 +47,6 @@ pub struct RunAccumulator {
     on_time: usize,
     wait_hist: LogHistogram,
     slowdown_hist: LogHistogram,
-    started: std::time::Instant,
 }
 
 impl RunAccumulator {
@@ -63,7 +62,6 @@ impl RunAccumulator {
             on_time: 0,
             wait_hist: LogHistogram::new(),
             slowdown_hist: LogHistogram::new(),
-            started: std::time::Instant::now(),
         }
     }
 
@@ -124,10 +122,21 @@ impl RunAccumulator {
     ///
     /// Also assembles the run's phase profile the same way
     /// [`RunMetrics::from_result`] does: DP/engine-loop time from the
-    /// result's counters, this accumulator's own lifetime as the
-    /// derivation phase, and any pending thread-local `PhaseTimer`
-    /// recordings absorbed (`profile::take_pending`).
-    pub fn finish(mut self, result: &SimResult) -> RunMetrics {
+    /// result's counters, this call as the derivation phase, and any
+    /// pending thread-local `PhaseTimer` recordings absorbed
+    /// (`profile::take_pending`). The per-completion folds of a streamed
+    /// run are not timed: they interleave with the engine loop, and a
+    /// clock read per [`Self::record`] would cost more than the fold.
+    pub fn finish(self, result: &SimResult) -> RunMetrics {
+        self.finish_since(result, std::time::Instant::now())
+    }
+
+    /// [`Self::finish`], charging the derivation phase from `since`.
+    pub(crate) fn finish_since(
+        mut self,
+        result: &SimResult,
+        since: std::time::Instant,
+    ) -> RunMetrics {
         let n = self.n;
         let mean_of = |sum: f64, count: usize| if count == 0 { 0.0 } else { sum / count as f64 };
         let mean_wait = mean_of(self.wait_sum, n);
@@ -146,7 +155,7 @@ impl RunAccumulator {
         phase_profile.record(Phase::EngineLoop, result.engine.engine_nanos);
         phase_profile.record(
             Phase::MetricsDerivation,
-            self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            since.elapsed().as_nanos().min(u64::MAX as u128) as u64,
         );
         RunMetrics {
             scheduler: result.scheduler.to_string(),
@@ -399,5 +408,21 @@ mod tests {
         assert_eq!(m.wait_summary.median, 3.0);
         assert_eq!(m.wait_summary.max, 3.0);
         assert_eq!(m.wait_summary.std_dev, 0.0);
+    }
+
+    #[test]
+    fn derivation_phase_times_the_fold_not_the_run() {
+        // A streamed run builds its accumulator before the engine starts;
+        // the time the run takes must not be charged to the derivation.
+        let r = result(mixed_outcomes());
+        let mut acc = RunAccumulator::bounded();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        for o in &r.outcomes {
+            acc.record(o);
+        }
+        let m = acc.finish(&r);
+        let nanos = m.phase_profile.nanos_of(Phase::MetricsDerivation);
+        assert!(nanos < 50_000_000, "derivation phase {nanos} ns includes the run");
+        assert_eq!(m.phase_profile.calls_of(Phase::MetricsDerivation), 1);
     }
 }

@@ -182,11 +182,13 @@ impl RunMetrics {
         // completion at a time (see [`crate::accum::RunAccumulator`]),
         // so materialized and folded derivations are bit-identical by
         // construction.
+        // The whole fold is the derivation phase.
+        let since = std::time::Instant::now();
         let mut acc = crate::accum::RunAccumulator::exact_with_capacity(result.outcomes.len());
         for o in &result.outcomes {
             acc.record(o);
         }
-        acc.finish(result)
+        acc.finish_since(result, since)
     }
 }
 

@@ -133,6 +133,7 @@ impl ResourceProfile {
 
     /// Subtract `num` processors over `[start, start + dur)`. Fails (and
     /// leaves the profile unchanged) if capacity would go negative.
+    /// Touches only the segments inside the window.
     pub fn try_reserve(
         &mut self,
         start: SimTime,
@@ -142,17 +143,19 @@ impl ResourceProfile {
         if dur == Duration::ZERO || num == 0 {
             return Ok(());
         }
-        if self.min_free(start.max(self.times[0]), dur) < num {
+        let start = start.max(self.times[0]);
+        if self.min_free(start, dur) < num {
             return Err(ReserveError);
         }
-        let start = start.max(self.times[0]);
         let end = start + dur;
         self.ensure_breakpoint(start);
         self.ensure_breakpoint(end);
-        for i in 0..self.times.len() {
-            if self.times[i] >= start && self.times[i] < end {
-                self.free[i] -= num;
+        let from = self.times.partition_point(|&t| t < start);
+        for i in from..self.times.len() {
+            if self.times[i] >= end {
+                break;
             }
+            self.free[i] -= num;
         }
         Ok(())
     }
@@ -160,7 +163,51 @@ impl ResourceProfile {
     /// The earliest time `t ≥ from` at which `num` processors are free for
     /// the whole window `[t, t + dur)`. Always exists when `num ≤ total`
     /// (the profile eventually returns to fully free); `None` otherwise.
+    ///
+    /// One forward sweep: a window opens at the first segment with
+    /// `num` free and grows while the segments it reaches cover `num`;
+    /// a short segment closes it, and the next window opens past that
+    /// segment. No segment is visited more than twice, so this is linear
+    /// in the segments after `from`.
     pub fn earliest_start(&self, from: SimTime, num: u32, dur: Duration) -> Option<SimTime> {
+        if num > self.total {
+            return None;
+        }
+        let from = from.max(self.times[0]);
+        let len = self.times.len();
+        let mut i = self.times.partition_point(|&t| t <= from) - 1;
+        let mut start = from;
+        loop {
+            while self.free[i] < num {
+                i += 1;
+                if i == len {
+                    return None; // the last segment is fully free; unreachable
+                }
+                start = self.times[i];
+            }
+            let end = start + dur;
+            let mut j = i + 1;
+            while j < len && self.times[j] < end && self.free[j] >= num {
+                j += 1;
+            }
+            if j == len || self.times[j] >= end {
+                return Some(start);
+            }
+            i = j;
+        }
+    }
+
+    /// [`Self::earliest_start`] as a search over candidate starts: `from`
+    /// and every later breakpoint, each checked with [`Self::min_free`].
+    /// Quadratic in the segments; kept as the differential oracle of the
+    /// sweep.
+    #[cfg(any(test, feature = "reference-kernels"))]
+    pub fn earliest_start_reference(
+        &self,
+        from: SimTime,
+        num: u32,
+        dur: Duration,
+    ) -> Option<SimTime> {
         if num > self.total {
             return None;
         }
@@ -170,6 +217,19 @@ impl ResourceProfile {
         std::iter::once(from.max(self.times[0]))
             .chain(self.times.iter().copied().filter(|&t| t > from))
             .find(|&t| self.min_free(t, dur) >= num)
+    }
+
+    /// Move the profile's start to `now`, dropping the segments that end
+    /// at or before it. Free capacity at every instant `≥ now` is
+    /// unchanged; a `now` at or before the start is a no-op.
+    pub fn advance(&mut self, now: SimTime) {
+        if now <= self.times[0] {
+            return;
+        }
+        let i = self.times.partition_point(|&t| t <= now) - 1;
+        self.times.drain(..i);
+        self.free.drain(..i);
+        self.times[0] = now;
     }
 
     /// Number of breakpoints (for diagnostics and tests).

@@ -116,9 +116,11 @@ impl DedicatedClaim {
 
 /// A policy core: one scheduling cycle over the batch queue.
 ///
-/// Cores are pure decision logic — they own only their tunables. Queues,
-/// telemetry and DP scratch come in through the [`PolicyStack`] driver,
-/// so one core instance composes with any [`StackLayer`].
+/// Cores own only their tunables and what they carry from one cycle to
+/// the next (Adaptive's arrival window, Conservative's kept
+/// reservations). Queues, telemetry and DP scratch come in through the
+/// [`PolicyStack`] driver, so one core instance composes with any
+/// [`StackLayer`].
 pub trait BatchPolicy {
     /// Display name of the batch-only stack (e.g. `"EASY"`).
     fn name(&self) -> &'static str;

@@ -84,8 +84,9 @@ echo "== differential oracles (reference queues + DP kernels, legacy schedulers,
 # the bitset DP kernels to the scalar reference kernels, the calendar
 # event queue to the reference heap queue, the chunked batch queue and
 # its bound-skipping backfill walk to the flat queue and linear walk,
-# and a loaded run to the same workload streamed from SWF/CWF/Lublin
-# sources. Feature unification
+# conservative backfilling's kept profile and one-pass search to the
+# per-cycle rebuild and candidate search, and a loaded run to the same
+# workload streamed from SWF/CWF/Lublin sources. Feature unification
 # already enables the reference features for every sim/sched test
 # target (self dev-dependency), so these are plain test invocations —
 # named here so a failure is attributed to an oracle, not a unit test.
@@ -94,6 +95,7 @@ cargo test --offline --locked --quiet -p elastisched-sched --test registry_prope
 cargo test --offline --locked --quiet -p elastisched-sched --test dp_properties
 cargo test --offline --locked --quiet -p elastisched-sim --test event_queue_differential
 cargo test --offline --locked --quiet -p elastisched-sched --test queue_differential
+cargo test --offline --locked --quiet -p elastisched-sched --test conservative_differential
 cargo test --offline --locked --quiet -p elastisched --test streaming_differential
 
 echo "== malleable degeneracy oracle (+m ≡ base on rigid workloads) =="
