@@ -222,6 +222,22 @@ fn inputs(args: &Args) -> Result<Inputs, String> {
     })
 }
 
+/// Require a finite offered load from `w`, rescaled for target `load`
+/// on `procs` processors. An extreme target rounds every arrival onto
+/// one instant (or saturates them all at the end of time), which leaves
+/// no finite offered load — an error, not a trace.
+fn check_load(w: &Workload, procs: u32, load: f64) -> Result<(), String> {
+    let achieved = w.offered_load(procs);
+    if achieved.is_finite() {
+        Ok(())
+    } else {
+        Err(format!(
+            "--load {load:?} is out of reach: the rescaled arrivals collapse onto one instant \
+             (offered load {achieved})"
+        ))
+    }
+}
+
 fn load_trace(path: &str) -> Result<Workload, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let cwf = CwfFile::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
@@ -243,6 +259,7 @@ fn cmd_generate(args: &Args) -> CliResult {
     let mut w = generate(&cfg);
     if let Some(load) = inp.load {
         w.scale_to_load(320, load);
+        check_load(&w, 320, load)?;
     }
     let file = CwfFile::from_workload(&w);
     std::fs::write(out, file.to_text()).map_err(|e| format!("writing {out}: {e}"))?;
@@ -528,14 +545,16 @@ fn cmd_tune(args: &Args) -> CliResult {
         None => vec![0, 1, 2, 3, 5, 7, 10, 14, 20],
     };
     let base = GeneratorConfig::paper_batch(ps).with_jobs(jobs);
-    let tuning = elastisched::tune_cs(
-        &base,
-        MachineSpec::BLUEGENE_P,
-        load,
-        &candidates,
-        reps,
-        seed,
-    );
+    let machine = MachineSpec::BLUEGENE_P;
+    // `tune_cs`'s workloads, generated here so each rescale is vetted.
+    let workloads = (0..reps.max(1))
+        .map(|r| {
+            let w = elastisched::calibrated_workload(&base, machine, load, seed + r as u64);
+            check_load(&w, machine.total, load)?;
+            Ok(w)
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let tuning = elastisched::tune_cs_on(&workloads, machine, &candidates);
     outln!(
         "tuning C_s for Delayed-LOS (P_S={ps}, load={load}, {jobs} jobs × {reps} seeds):"
     );

@@ -64,7 +64,7 @@ pub use figures::{
 };
 pub use plot::{render_svg, write_figure_svgs, Metric};
 pub use sweep::{parallel_map, try_parallel_map, PointFailure};
-pub use tune::{tune_cs, CsCandidate, CsTuning};
+pub use tune::{tune_cs, tune_cs_on, CsCandidate, CsTuning};
 
 /// The most common imports in one place.
 pub mod prelude {

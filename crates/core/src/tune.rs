@@ -11,7 +11,7 @@ use crate::calibrate::calibrated_workload;
 use crate::experiment::{Experiment, MachineSpec};
 use crate::sweep::parallel_map;
 use elastisched_sched::Algorithm;
-use elastisched_workload::GeneratorConfig;
+use elastisched_workload::{GeneratorConfig, Workload};
 use serde::{Deserialize, Serialize};
 
 /// One `C_s` candidate's averaged outcome.
@@ -45,10 +45,17 @@ pub fn tune_cs(
     replications: usize,
     base_seed: u64,
 ) -> CsTuning {
-    assert!(!candidates.is_empty(), "need at least one C_s candidate");
     let workloads: Vec<_> = (0..replications.max(1))
         .map(|r| calibrated_workload(base, machine, load, base_seed + r as u64))
         .collect();
+    tune_cs_on(&workloads, machine, candidates)
+}
+
+/// [`tune_cs`] over given workloads, one replication each — for callers
+/// that generate (and vet) the workloads themselves.
+pub fn tune_cs_on(workloads: &[Workload], machine: MachineSpec, candidates: &[u32]) -> CsTuning {
+    assert!(!candidates.is_empty(), "need at least one C_s candidate");
+    assert!(!workloads.is_empty(), "need at least one workload");
     let mut tasks = Vec::new();
     for (ci, &cs) in candidates.iter().enumerate() {
         for wi in 0..workloads.len() {

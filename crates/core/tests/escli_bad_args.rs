@@ -79,6 +79,10 @@ fn bad_probabilities_and_loads_are_errors() {
         ("--load", "-1"),
         ("--load", "inf"),
         ("--load", "NaN"),
+        // Positive and finite, but rescaling to them collapses every
+        // arrival onto one instant: no finite offered load.
+        ("--load", "1e300"),
+        ("--load", "1e-300"),
         ("--ps", "2"),
         ("--ps", "-0.1"),
         ("--pd", "1.5"),
@@ -90,9 +94,11 @@ fn bad_probabilities_and_loads_are_errors() {
     assert_rejected(&[
         "tune", "--ps", "2", "--jobs", "20", "--reps", "1", "--cs", "1",
     ]);
-    assert_rejected(&[
-        "tune", "--load", "0", "--jobs", "20", "--reps", "1", "--cs", "1",
-    ]);
+    for load in ["0", "1e300", "1e-300"] {
+        assert_rejected(&[
+            "tune", "--load", load, "--jobs", "20", "--reps", "1", "--cs", "1",
+        ]);
+    }
     assert_rejected(&["diff", "easy", "fcfs", "--pd", "1.5", "--jobs", "20"]);
     let ok = escli(&[
         "generate", "--out", out, "--jobs", "20", "--ps", "1", "--pd", "0", "--load", "0.5",

@@ -7,9 +7,7 @@
 //! virtual clock, job arrival/completion events, an ECC processor, and a
 //! scheduling cycle fired once per distinct event timestamp.
 
-use crate::attribution::{
-    AttrNotes, AttrState, AttributionProfile, JobAttr, PendingCause, WaitAttribution,
-};
+use crate::attribution::{AttrNotes, AttrState, AttributionProfile, Regime};
 use crate::ecc::{EccKind, EccPolicy, EccSpec};
 use crate::event::{Event, EventQueue};
 use crate::job::{JobId, JobOutcome, JobRecord, JobSpec, JobState};
@@ -420,16 +418,11 @@ impl SchedContext for EngineState {
         let pos = rec.wait_pos as usize;
         debug_assert_eq!(self.wait_views[pos].id, id, "record lost its view");
         // Final attribution charge: the job stops waiting this instant,
-        // so the interval since the last cycle goes to its pending
-        // cause and the buckets telescope to exactly the job's wait.
-        // They ride with the record slot until the completion folds them.
+        // so it catches up on its class's cause changes and the buckets
+        // telescope to exactly the job's wait. They ride with the record
+        // slot until the completion folds them.
         if let Some(attr) = self.attr.as_deref_mut() {
-            let ja = &mut attr.waiting[pos];
-            ja.charge_until(now, rec.spec.eligible_at());
-            if attr.started.len() <= idx {
-                attr.started.resize(idx + 1, WaitAttribution::default());
-            }
-            attr.started[idx] = ja.attr;
+            attr.start(pos, idx, now, rec.spec.eligible_at());
         }
         let alloc = rec.alloc;
         let kill_by = now + rec.est_dur;
@@ -730,17 +723,27 @@ impl<S: Scheduler> Engine<S> {
 
     /// Classify every second of every job's queue wait into blocking
     /// causes (see [`crate::attribution`] for the taxonomy): each cycle
-    /// charges the elapsed interval to the cause decided at the
-    /// previous cycle, so the per-job buckets telescope to exactly the
-    /// job's wait. The per-job [`crate::WaitAttribution`] rides on its
-    /// [`JobOutcome`] and the per-run [`AttributionProfile`] on
+    /// classifies the waiting jobs' width classes and logs their cause
+    /// changes, and a job is charged from its class's log when it starts
+    /// (or changes width), so the per-job buckets telescope to exactly
+    /// the job's wait. The per-job [`crate::WaitAttribution`] rides on
+    /// its [`JobOutcome`] and the per-run [`AttributionProfile`] on
     /// [`SimResult::attribution`]. Per-job state lives beside the
-    /// waiting-job views and then the record slot, both recycled, and
-    /// the profile folds O(1) at completion, so soaks carry it in
-    /// bounded memory. Without this call attribution costs one branch
-    /// per scheduling cycle.
+    /// waiting-job views and then the record slot, both recycled, the
+    /// cause logs stay bounded by the waiting jobs, and the profile
+    /// folds O(1) at completion, so soaks carry it in bounded memory.
+    /// Without this call attribution costs one branch per scheduling
+    /// cycle.
     pub fn enable_attribution(&mut self) {
         self.state.attr = Some(Box::default());
+    }
+
+    /// [`Engine::enable_attribution`] with the per-cycle pass the cause
+    /// logs replaced, which charges and reclassifies every waiting job
+    /// every cycle: the differential oracle for the incremental pass.
+    #[cfg(feature = "reference-kernels")]
+    pub fn enable_reference_attribution(&mut self) {
+        self.state.attr = Some(Box::new(AttrState::reference()));
     }
 
     /// Set the cost model charged to scheduler-initiated grows and
@@ -1137,93 +1140,68 @@ impl<S: Scheduler> Engine<S> {
         }
     }
 
-    /// Post-cycle attribution pass: charge the interval since the last
-    /// cycle to each waiting job's pending cause, then reclassify why
-    /// each job still waits — capacity shortfall (and which running job
-    /// leads the blockade), dedicated-node contention, processors
-    /// gained by running jobs through expand-procs ECCs, a deliberate
-    /// policy skip, or a freeze window — for the interval that begins
-    /// now. O(running + waiting) per cycle, entered only when
+    /// Post-cycle attribution pass: read the blocking regime off the
+    /// running set — the free processors, those held by dedicated jobs,
+    /// gained through expand-procs ECCs or held by malleable grows, and
+    /// the lead blocker — and hand it to the width classes (see
+    /// [`crate::attribution`]), which log their cause changes. Linear in
+    /// the running jobs and the live width classes, entered only when
     /// attribution is enabled.
     fn attribute_cycle(&mut self, t: SimTime) {
-        // Take the attribution state out so the wait views, records,
-        // and notes can be read while the per-job slab is written.
+        // Take the attribution state out so the wait views and records
+        // can be read while it is written.
         let Some(mut attr) = self.state.attr.take() else {
             return;
         };
         let state = &self.state;
-        let free = state.machine.free();
         // One pass over the running set: processors held by dedicated
         // jobs, processors gained through expand-procs ECCs, and the
         // largest single allocation (the capacity lead blocker; ties
         // break toward the lower id so the choice does not depend on
         // running-set iteration order).
-        let mut ded_procs = 0u32;
-        let mut ecc_procs = 0u32;
-        let mut mal_procs = 0u32;
-        let mut blocker = JobId(u64::MAX);
+        let mut regime = Regime {
+            free: state.machine.free(),
+            ded_procs: 0,
+            ecc_procs: 0,
+            mal_procs: 0,
+            blocker: JobId(u64::MAX),
+            freeze: attr.notes.freeze,
+        };
         let mut blocker_num = 0u32;
         for rj in state.running.iter() {
             if let Some(rec) = state.record(rj.id) {
                 if rec.spec.class.is_dedicated() {
-                    ded_procs += rj.num;
+                    regime.ded_procs += rj.num;
                 }
                 // Width above the preferred request splits between the
                 // malleable layer's grows (tracked exactly in
                 // `mal_gain`) and expand-procs ECCs (the rest).
-                mal_procs += rec.mal_gain.min(rj.num);
+                regime.mal_procs += rec.mal_gain.min(rj.num);
                 if rec.ecc_count > 0 {
-                    ecc_procs += rj
+                    regime.ecc_procs += rj
                         .num
                         .saturating_sub(rec.spec.num)
                         .saturating_sub(rec.mal_gain);
                 }
             }
-            if rj.num > blocker_num || (rj.num == blocker_num && rj.id < blocker) {
-                blocker = rj.id;
+            if rj.num > blocker_num || (rj.num == blocker_num && rj.id < regime.blocker) {
+                regime.blocker = rj.id;
                 blocker_num = rj.num;
             }
         }
-        // One pass over dense, view-parallel arrays: no record is touched.
         let head = state.wait_head;
-        for ((v, &slot), ja) in state.wait_views[head..]
+        let live = state.wait_views[head..]
             .iter()
             .zip(&state.wait_recs[head..])
-            .zip(&mut attr.waiting[head..])
-        {
-            if slot == STARTED {
-                continue; // dead view awaiting compaction
-            }
-            // The view carries the spec's submit and class, so this is
-            // `JobSpec::eligible_at`.
-            let eligible = v
-                .class
-                .requested_start()
-                .map_or(v.submit, |s| v.submit.max(s));
-            ja.charge_until(t, eligible);
-            // Capacity-style causes outrank policy causes: a job that
-            // does not fit was not schedulable no matter what the
-            // policy decided this cycle. Among the policy causes, a
-            // deliberate skip outranks an ambient freeze window.
-            ja.pending = if v.num > free {
-                if v.num <= free + ded_procs {
-                    PendingCause::Dedicated
-                } else if v.num <= free + ded_procs + ecc_procs {
-                    PendingCause::Ecc
-                } else if v.num <= free + ded_procs + ecc_procs + mal_procs {
-                    PendingCause::Malleable
-                } else {
-                    PendingCause::Capacity(blocker)
-                }
-            } else if attr.notes.skipped.contains(&v.id) {
-                PendingCause::PolicySkip
-            } else if attr.notes.freeze {
-                PendingCause::Freeze
-            } else {
-                PendingCause::PolicySkip
-            };
-        }
-        attr.notes.clear();
+            .enumerate()
+            .filter(|&(_, (_, &slot))| slot != STARTED)
+            .map(|(i, (v, _))| (head + i, v));
+        attr.cycle(t, &regime, live, |id| {
+            state
+                .record(id)
+                .filter(|rec| rec.state == JobState::Waiting)
+                .map(|rec| (rec.wait_pos as usize, rec.spec.eligible_at()))
+        });
         self.state.attr = Some(attr);
     }
 
@@ -1602,7 +1580,7 @@ impl<S: Scheduler> Engine<S> {
         self.state.peak_wait_views = self.state.peak_wait_views.max(self.state.wait_views.len());
         // Per-job attribution accumulator, parallel to the views.
         if let Some(attr) = self.state.attr.as_deref_mut() {
-            attr.waiting.push(JobAttr::new(now));
+            attr.arrive(view.num, now);
         }
         trace_event!(
             self.state.trace.as_deref_mut(),
@@ -1819,6 +1797,10 @@ impl<S: Scheduler> Engine<S> {
                     if v.id == id {
                         v.num = num;
                         v.dur = dur;
+                        // A new width moves the job to another width class.
+                        if let Some(attr) = self.state.attr.as_deref_mut() {
+                            attr.resize(pos, v, now);
+                        }
                     }
                 }
                 self.scheduler.on_queued_ecc(id, num, dur);

@@ -78,17 +78,18 @@ echo "== audit layer (always-on schedule checks + postmortem dump) =="
 # parseable flight-recorder postmortem.
 cargo test --offline --locked --quiet -p elastisched-sim --features audit
 
-echo "== differential oracles (reference queues + DP kernels, legacy schedulers, streaming) =="
+echo "== differential oracles (reference queues + DP kernels, legacy schedulers, attribution, streaming) =="
 # The policy stack must be metric-identical to the pre-stack scheduler
 # implementations (kept verbatim behind the legacy-schedulers feature),
 # the bitset DP kernels to the scalar reference kernels, the calendar
 # event queue to the reference heap queue, the chunked batch queue and
 # its bound-skipping backfill walk to the flat queue and linear walk,
 # conservative backfilling's kept profile and one-pass search to the
-# per-cycle rebuild and candidate search, and a loaded run to the same
+# per-cycle rebuild and candidate search, wait attribution's cause logs
+# to the per-cycle reference pass, and a loaded run to the same
 # workload streamed from SWF/CWF/Lublin sources. Feature unification
-# already enables the reference features for every sim/sched test
-# target (self dev-dependency), so these are plain test invocations —
+# already enables the reference features for every sim/sched/core test
+# target (dev-dependencies), so these are plain test invocations —
 # named here so a failure is attributed to an oracle, not a unit test.
 cargo test --offline --locked --quiet -p elastisched-sched --test legacy_differential
 cargo test --offline --locked --quiet -p elastisched-sched --test registry_properties
@@ -96,6 +97,7 @@ cargo test --offline --locked --quiet -p elastisched-sched --test dp_properties
 cargo test --offline --locked --quiet -p elastisched-sim --test event_queue_differential
 cargo test --offline --locked --quiet -p elastisched-sched --test queue_differential
 cargo test --offline --locked --quiet -p elastisched-sched --test conservative_differential
+cargo test --offline --locked --quiet -p elastisched --test attribution_differential
 cargo test --offline --locked --quiet -p elastisched --test streaming_differential
 
 echo "== malleable degeneracy oracle (+m ≡ base on rigid workloads) =="
